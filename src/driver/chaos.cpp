@@ -6,7 +6,6 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "hash/hash_family.h"
 #include "workload/synthetic.h"
 
 namespace anu::driver {
@@ -142,7 +141,6 @@ Scenario generate_scenario(const ChaosConfig& config, Xoshiro256& rng) {
 void check_invariants(const proto::ProtocolCluster& protocol,
                       const proto::Network& network,
                       const workload::Workload& workload,
-                      const ChaosConfig& config,
                       std::vector<std::string>* out) {
   const std::size_t servers = network.node_count();
   std::uint32_t live_node = 0;
@@ -167,27 +165,16 @@ void check_invariants(const proto::ProtocolCluster& protocol,
         "live replicas disagree on (version, map) after faults ceased");
     return;  // routing below assumes one agreed-on map
   }
-  // Coverage: every file set must resolve, within the probing budget, to a
-  // live server on the (agreed) replica. RegionMap's own invariants
-  // guarantee the partitions tile [0, 1) without overlap; this closes the
-  // loop from file-set name to live owner.
-  const HashFamily family(config.protocol.hash_seed);
-  const core::RegionMap& map = protocol.map_of(live_node);
+  // Coverage: every file set must route to a live server on the (agreed)
+  // replica. RegionMap's own invariants guarantee the partitions tile
+  // [0, 1) without overlap, and resolving each applied map aborts if
+  // probing exhausts the hash family; this closes the loop from file set
+  // to live owner.
   for (const workload::FileSet& fs : workload.file_sets()) {
-    bool resolved = false;
-    for (std::uint32_t r = 0; r < config.protocol.max_probe_rounds; ++r) {
-      const auto owner = map.owner_at(family.unit_point(fs.name, r));
-      if (!owner) continue;
-      resolved = true;
-      if (!network.node_up(owner->value())) {
-        out->push_back("file set " + fs.name + " routes to down server " +
-                       std::to_string(owner->value()));
-      }
-      break;
-    }
-    if (!resolved) {
-      out->push_back("file set " + fs.name +
-                     " unowned: probing exhausted the hash family");
+    const ServerId owner = protocol.route_from(live_node, fs.id);
+    if (!network.node_up(owner.value())) {
+      out->push_back("file set " + fs.name + " routes to down server " +
+                     std::to_string(owner.value()));
     }
   }
 }
@@ -238,8 +225,7 @@ ChaosReport run_chaos(const ChaosConfig& config) {
 
   experiment.on_finish = [&](const proto::ProtocolCluster& protocol,
                              const proto::Network& network) {
-    check_invariants(protocol, network, workload, config,
-                     &report.violations);
+    check_invariants(protocol, network, workload, &report.violations);
   };
   report.result = run_protocol_experiment(experiment, workload);
 

@@ -11,10 +11,9 @@
 //
 //   * every live node holds the same region-map version and table;
 //   * every node actually tuned (version > 0);
-//   * every file set routes, on every live replica, to a live server
-//     within the probing budget (the map covers the unit interval — the
-//     RegionMap's own invariants guarantee no overlap — and no file set is
-//     left unowned);
+//   * every file set routes, on the agreed replica, to a live server (a
+//     map on which probing exhausts the hash family aborts the run when
+//     it is applied, as resolving its owner table routes every file set);
 //   * message / retransmit / duplicate-suppression counters reconcile with
 //     the fault plan's injection counters.
 //

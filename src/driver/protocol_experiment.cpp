@@ -73,7 +73,8 @@ ExperimentResult run_protocol_experiment(
 
   // Requests are routed by the replica of a rotating contact node — the
   // client-asks-any-server model. Flushed requests (failures) re-dispatch
-  // the same way.
+  // the same way. File sets were registered in id order, so each id reads
+  // the replica's owner table directly.
   std::uint64_t issued = 0;
   std::uint32_t contact = 0;
   auto next_contact = [&]() -> std::uint32_t {
@@ -86,15 +87,13 @@ ExperimentResult run_protocol_experiment(
   };
   auto dispatch = [&](FileSetId fs, double demand) {
     const std::uint32_t contact_node = next_contact();
-    const ServerId target =
-        protocol.route_from(contact_node, workload.file_set(fs).name);
+    const ServerId target = protocol.route_from(contact_node, fs);
     // A stale replica can route to a down server for a short window after
     // a failure; the contact node then falls back to its delegate's view —
     // modelled here by routing from the delegate replica.
     ServerId safe = cluster.is_up(target)
                         ? target
-                        : protocol.route_from(protocol.delegate(),
-                                              workload.file_set(fs).name);
+                        : protocol.route_from(protocol.delegate(), fs);
     // The delegate's replica is just as stale until the next round reclaims
     // the dead server's region; the live contact then serves the request
     // itself (any server can — it is simply not cache-preferred).

@@ -32,7 +32,7 @@ ProtocolCluster::ProtocolCluster(anu::Clock& clock, Transport& network,
   // Every replica starts from the identical deterministic equal-share map.
   const core::RegionMap initial(server_count);
   for (std::uint32_t s = 0; s < server_count; ++s) {
-    nodes_[s].map = initial;
+    nodes_[s].table = resolve(initial);
     nodes_[s].round_reports.resize(server_count);
     nodes_[s].seen_seqs.resize(server_count);
     network_.attach(s, [this, s](std::uint32_t from, const Message& message) {
@@ -55,6 +55,8 @@ ProtocolCluster::ProtocolCluster(anu::Clock& clock, Transport& network,
 
 void ProtocolCluster::register_file_sets(std::vector<std::string> names) {
   file_sets_ = std::move(names);
+  last_resolved_.reset();  // resolved against the old file sets
+  for (Node& node : nodes_) node.table = resolve(node.table->map);
 }
 
 void ProtocolCluster::fail_server(std::uint32_t server) {
@@ -98,7 +100,7 @@ void ProtocolCluster::recover_server(std::uint32_t server) {
     RegionMapUpdate transfer;
     transfer.version = nodes_[peer].version;
     transfer.round = nodes_[peer].version;
-    transfer.partitions = nodes_[peer].map.snapshot();
+    transfer.partitions = nodes_[peer].table->map.snapshot();
     send_reliable(peer, server, transfer);
     break;
   }
@@ -128,7 +130,7 @@ bool ProtocolCluster::believed_up(std::uint32_t self,
 
 const core::RegionMap& ProtocolCluster::map_of(std::uint32_t server) const {
   ANU_REQUIRE(server < nodes_.size());
-  return nodes_[server].map;
+  return nodes_[server].table->map;
 }
 
 std::uint64_t ProtocolCluster::version_of(std::uint32_t server) const {
@@ -145,7 +147,7 @@ bool ProtocolCluster::replicas_agree() const {
       continue;
     }
     if (node.version != reference->version ||
-        !(node.map == reference->map)) {
+        !(node.table->map == reference->table->map)) {
       return false;
     }
   }
@@ -166,6 +168,30 @@ ServerId ProtocolCluster::route_on(const core::RegionMap& map,
 ServerId ProtocolCluster::route_from(std::uint32_t server,
                                      std::string_view name) const {
   return route_on(map_of(server), name);
+}
+
+ServerId ProtocolCluster::route_from(std::uint32_t server,
+                                     FileSetId file_set) const {
+  ANU_REQUIRE(server < nodes_.size());
+  ANU_REQUIRE(file_set.value() < file_sets_.size());
+  return nodes_[server].table->owner[file_set.value()];
+}
+
+std::shared_ptr<const ProtocolCluster::OwnerTable> ProtocolCluster::resolve(
+    core::RegionMap map) {
+  ++tables_requested_;
+  if (last_resolved_ && last_resolved_->map == map) return last_resolved_;
+  ++tables_resolved_;
+  std::vector<ServerId> owner;
+  owner.reserve(file_sets_.size());
+  std::vector<std::vector<std::uint32_t>> owned(nodes_.size());
+  for (std::uint32_t fs = 0; fs < file_sets_.size(); ++fs) {
+    owner.push_back(route_on(map, file_sets_[fs]));
+    owned[owner.back().value()].push_back(fs);
+  }
+  last_resolved_ = std::make_shared<const OwnerTable>(
+      OwnerTable{std::move(map), std::move(owner), std::move(owned)});
+  return last_resolved_;
 }
 
 std::uint64_t ProtocolCluster::shed_notices_received(
@@ -253,7 +279,7 @@ void ProtocolCluster::on_tick(SimTime now) {
     LatencyReport report;
     report.server = s;
     report.round = round;
-    report.report = latency_model_(s, node.map.share(ServerId(s)));
+    report.report = latency_model_(s, node.table->map.share(ServerId(s)));
     if (s == target) {
       // The delegate's own report needs no network trip.
       delegate_collect(s, report);
@@ -341,7 +367,7 @@ void ProtocolCluster::delegate_tune(std::uint32_t self) {
   node.last_tuned_round = node.collecting_round;
 
   std::vector<core::TunerInput> inputs(nodes_.size());
-  const auto shares = node.map.shares();
+  const auto shares = node.table->map.shares();
   for (std::uint32_t s = 0; s < nodes_.size(); ++s) {
     inputs[s].current_share = static_cast<double>(shares[s].raw());
     // A server the delegate believes down gets no report — its region is
@@ -355,10 +381,10 @@ void ProtocolCluster::delegate_tune(std::uint32_t self) {
   }
   const auto decision =
       core::run_delegate_round(inputs, config_.tuner, clock_.trace(), clock_.now());
-  // Tune into a copy: node.map must stay the previous configuration until
-  // apply_update runs, so the delegate computes its shed notices from the
-  // same (previous, new) pair as every other node.
-  core::RegionMap tuned = node.map;
+  // Tune into a copy: the node's map must stay the previous configuration
+  // until apply_update runs, so the delegate computes its shed notices from
+  // the same (previous, new) pair as every other node.
+  core::RegionMap tuned = node.table->map;
   tuned.rebalance(core::RegionMap::normalize_shares(decision.weights));
   ++published_;
 
@@ -385,20 +411,18 @@ void ProtocolCluster::apply_update(std::uint32_t self,
                                    const RegionMapUpdate& update) {
   Node& node = nodes_[self];
   if (update.version < node.version) return;  // stale or duplicate
-  const core::RegionMap previous = node.map;
+  const std::shared_ptr<const OwnerTable> previous = node.table;
   if (update.version > node.version) {
-    node.map = core::RegionMap::from_snapshot(update.partitions,
-                                              nodes_.size());
+    node.table = resolve(
+        core::RegionMap::from_snapshot(update.partitions, nodes_.size()));
     node.version = update.version;
   }
   // Shed protocol: file sets this node served under the previous map that
   // now belong elsewhere get announced to their acquirers (§4).
   std::uint32_t sheds = 0;
-  for (std::uint32_t fs = 0; fs < file_sets_.size(); ++fs) {
-    const ServerId before = route_on(previous, file_sets_[fs]);
-    if (before != ServerId(self)) continue;
-    const ServerId after = route_on(node.map, file_sets_[fs]);
-    if (after == before) continue;
+  for (const std::uint32_t fs : previous->owned[self]) {
+    const ServerId after = node.table->owner[fs];
+    if (after == ServerId(self)) continue;
     ShedNotice notice;
     notice.file_set = fs;
     notice.from = self;

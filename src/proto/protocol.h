@@ -130,9 +130,23 @@ class ProtocolCluster {
   /// Routing as node `server` would perform it, on its own replica.
   [[nodiscard]] ServerId route_from(std::uint32_t server,
                                     std::string_view name) const;
+  /// The same for a registered file set (its index in register_file_sets
+  /// order), read from the replica's resolved owner table: no hashing.
+  [[nodiscard]] ServerId route_from(std::uint32_t server,
+                                    FileSetId file_set) const;
   [[nodiscard]] std::uint64_t shed_notices_received(
       std::uint32_t server) const;
   [[nodiscard]] std::uint64_t updates_published() const { return published_; }
+  /// Owner-table memo: tables requested (one each time a node adopts a
+  /// map: at construction, at registration, and per newer map applied) and
+  /// tables resolved (requests whose map content differs from the last
+  /// map resolved).
+  [[nodiscard]] std::uint64_t owner_tables_requested() const {
+    return tables_requested_;
+  }
+  [[nodiscard]] std::uint64_t owner_tables_resolved() const {
+    return tables_resolved_;
+  }
 
   /// Reliable-delivery counters, aggregated over all nodes. They reconcile
   /// as: acks_received <= reliable_sent + retransmits (each ack answers one
@@ -167,8 +181,18 @@ class ProtocolCluster {
     anu::TimerHandle timer;
   };
 
+  /// A region map resolved against the registered file sets. Immutable, so
+  /// every replica holding the same map content can share one.
+  struct OwnerTable {
+    core::RegionMap map;
+    /// owner[fs]: the server file set fs routes to under `map`.
+    std::vector<ServerId> owner;
+    /// owned[s]: the file sets that route to server s, ascending.
+    std::vector<std::vector<std::uint32_t>> owned;
+  };
+
   struct Node {
-    core::RegionMap map{1};  // placeholder; re-initialized in ctor
+    std::shared_ptr<const OwnerTable> table;  // the replica's map, resolved
     std::uint64_t version = 0;
     bool up = true;
     std::uint64_t shed_notices = 0;
@@ -195,6 +219,11 @@ class ProtocolCluster {
   void apply_update(std::uint32_t self, const RegionMapUpdate& update);
   [[nodiscard]] ServerId route_on(const core::RegionMap& map,
                                   std::string_view name) const;
+  /// The owner table of `map`: the last one resolved when its map has the
+  /// same content (never judged by version alone: under heartbeat split
+  /// views two delegates can publish different maps as one round's
+  /// version), otherwise a fresh resolution of every registered file set.
+  [[nodiscard]] std::shared_ptr<const OwnerTable> resolve(core::RegionMap map);
 
   /// Stamps the message with self's next sequence number and sends it with
   /// ack/retransmit tracking (plain send when retransmit.enabled is off).
@@ -212,7 +241,10 @@ class ProtocolCluster {
   std::vector<Node> nodes_;
   std::vector<HeartbeatView> views_;  // one per node (heartbeat mode)
   std::vector<std::string> file_sets_;
+  std::shared_ptr<const OwnerTable> last_resolved_;
   std::uint64_t published_ = 0;
+  std::uint64_t tables_requested_ = 0;
+  std::uint64_t tables_resolved_ = 0;
   std::uint64_t reliable_sent_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t acks_received_ = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/balancer_factory.h"
+#include "faults/fault_plan.h"
 #include "workload/synthetic.h"
 
 namespace anu::driver {
@@ -92,6 +93,66 @@ TEST(ProtocolExperiment, RecordsMovement) {
   const auto result = run_protocol_experiment(base_config(), w);
   EXPECT_GT(result.total_moved, 0u);
   EXPECT_LE(result.unique_moved, w.file_set_count());
+}
+
+/// 16 servers cycling the paper speeds, 512 file sets, 2% message loss,
+/// two fail/recover cycles (the first takes down the delegate).
+ExperimentResult golden_run() {
+  constexpr double kSpeeds[] = {1.0, 3.0, 5.0, 7.0, 9.0};
+  ProtocolExperimentConfig config;
+  config.cluster.server_speeds.clear();
+  double capacity = 0.0;
+  for (std::size_t s = 0; s < 16; ++s) {
+    config.cluster.server_speeds.push_back(kSpeeds[s % 5]);
+    capacity += kSpeeds[s % 5];
+  }
+  workload::SyntheticConfig synthetic;
+  synthetic.seed = 1913;
+  synthetic.file_set_count = 512;
+  synthetic.request_count = 40'000;
+  synthetic.duration = 50.0 * 60.0;
+  synthetic.cluster_capacity = capacity;
+  synthetic.target_utilization = 0.5;
+  const auto w = workload::make_synthetic_workload(synthetic);
+
+  faults::FaultPlanConfig fault_config;
+  fault_config.loss = 0.02;
+  faults::FaultPlan plan(fault_config);
+  config.faults = &plan;
+  cluster::FailureSchedule failures;
+  failures.add({700.0, cluster::MembershipAction::kFail, ServerId(0), 0.0});
+  failures.add({1100.0, cluster::MembershipAction::kRecover, ServerId(0), 0.0});
+  failures.add({1800.0, cluster::MembershipAction::kFail, ServerId(9), 0.0});
+  failures.add({2300.0, cluster::MembershipAction::kRecover, ServerId(9), 0.0});
+  config.failures = failures;
+  return run_protocol_experiment(config, w);
+}
+
+// Literals captured by running golden_run() at commit 3a19d6de7fbe, where
+// every request and every shed check re-hashed file-set names: the
+// per-map owner tables must leave every decision of the run unchanged.
+TEST(ProtocolExperiment, GoldenRunMatchesPerNameRouting) {
+  const ExperimentResult r = golden_run();
+  EXPECT_EQ(r.total_moved, 792u);
+  const std::vector<std::uint64_t> served{162,  1410, 2587, 2291, 5371, 204,
+                                          1801, 2236, 4533, 3442, 507,  1957,
+                                          2970, 4272, 5171, 572};
+  EXPECT_EQ(r.served, served);
+  EXPECT_EQ(r.requests_completed, 39486u);
+  const ExperimentResult::ControlPlaneStats& cp = r.control_plane;
+  EXPECT_EQ(cp.messages_sent, 2249u);
+  EXPECT_EQ(cp.messages_delivered, 2200u);
+  EXPECT_EQ(cp.drops_endpoint_down, 0u);
+  EXPECT_EQ(cp.drops_injected, 49u);
+  EXPECT_EQ(cp.duplicates_injected, 0u);
+  EXPECT_EQ(cp.bytes_sent, 180848u);
+  EXPECT_EQ(cp.reliable_sent, 704u);
+  EXPECT_EQ(cp.retransmits, 33u);
+  EXPECT_EQ(cp.acks_received, 704u);
+  EXPECT_EQ(cp.duplicates_suppressed, 16u);
+  EXPECT_EQ(cp.retries_abandoned, 0u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 0.66834391756861433);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 74.989420933245512);
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 // flow, versioned replication, shed notices, delegate failover.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <tuple>
+#include <variant>
+#include <vector>
+
 #include "faults/fault_plan.h"
+#include "hash/hash_family.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
 #include "sim/sim_clock.h"
@@ -248,6 +255,203 @@ TEST(Protocol, StateTransferCatchesUpBeforeNextRound) {
 }
 
 
+// --- owner tables -----------------------------------------------------------
+
+ProtocolConfig heartbeat_config() {
+  ProtocolConfig config;
+  config.use_heartbeats = true;
+  return config;
+}
+
+/// The probe loop written out: where `name` routes on `map`.
+ServerId probe_owner(const core::RegionMap& map, std::string_view name,
+                     const ProtocolConfig& config) {
+  const HashFamily family(config.hash_seed);
+  for (std::uint32_t r = 0; r < config.max_probe_rounds; ++r) {
+    if (const auto owner = map.owner_at(family.unit_point(name, r))) {
+      return *owner;
+    }
+  }
+  ADD_FAILURE() << name << " is unowned";
+  return {};
+}
+
+/// (file set, from, to), as on_shed reports a shed.
+using Shed = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
+
+/// Every file set `self` routed to under `before` and no longer does under
+/// `after`, ascending: the sheds applying `after` must announce.
+std::vector<Shed> brute_force_sheds(std::uint32_t self,
+                                    const core::RegionMap& before,
+                                    const core::RegionMap& after,
+                                    const std::vector<std::string>& names,
+                                    const ProtocolConfig& config) {
+  std::vector<Shed> sheds;
+  for (std::uint32_t fs = 0; fs < names.size(); ++fs) {
+    if (probe_owner(before, names[fs], config) != ServerId(self)) continue;
+    const ServerId to = probe_owner(after, names[fs], config);
+    if (to != ServerId(self)) sheds.emplace_back(fs, self, to.value());
+  }
+  return sheds;
+}
+
+/// Forwards to a proto::Network and hands every delivery to `around`,
+/// which must call `deliver` once — so a test can read a node's replica
+/// just before and just after the node handles a message.
+class ObservedTransport final : public Transport {
+ public:
+  using Around = std::function<void(std::uint32_t node, const Message&,
+                                    const std::function<void()>& deliver)>;
+
+  explicit ObservedTransport(Network& network) : network_(network) {}
+
+  Around around;
+
+  void attach(std::uint32_t node, Handler handler) override {
+    network_.attach(node, [this, node, handler = std::move(handler)](
+                              std::uint32_t from, const Message& message) {
+      around(node, message, [&] { handler(from, message); });
+    });
+  }
+  void set_node_up(std::uint32_t node, bool up) override {
+    network_.set_node_up(node, up);
+  }
+  [[nodiscard]] bool node_up(std::uint32_t node) const override {
+    return network_.node_up(node);
+  }
+  void send(std::uint32_t from, std::uint32_t to, Message message) override {
+    network_.send(from, to, std::move(message));
+  }
+  [[nodiscard]] std::size_t node_count() const override {
+    return network_.node_count();
+  }
+
+ private:
+  Network& network_;
+};
+
+TEST(OwnerTable, RoutesAndShedsMatchTheProbeLoopUnderFaults) {
+  constexpr std::uint32_t kServers = 8;
+  constexpr int kRounds = 16;
+  const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0, 1.0, 3.0, 5.0};
+  sim::Simulation sim;
+  sim::SimClock clock(sim);
+  Network net(clock, NetworkConfig{}, kServers);
+  faults::FaultPlanConfig fault_config;
+  fault_config.loss = 0.10;
+  fault_config.duplicate = 0.10;
+  faults::FaultPlan plan(fault_config);
+  net.set_fault_plan(&plan);
+  ObservedTransport transport(net);
+  ProtocolConfig config = heartbeat_config();
+  ProtocolCluster cluster(
+      clock, transport, config, kServers,
+      [&speeds](std::uint32_t s, UnitPoint share) {
+        return balance::ServerReport{
+            share.to_double() / speeds[s] * 100.0 + 1e-6,
+            static_cast<std::size_t>(share.to_double() * 1e4)};
+      });
+  std::vector<std::string> names;
+  for (int i = 0; i < 300; ++i) names.push_back("eq/" + std::to_string(i));
+  cluster.register_file_sets(names);
+
+  std::vector<Shed> shed_calls;
+  cluster.on_shed = [&](std::uint32_t fs, std::uint32_t from,
+                        std::uint32_t to) {
+    shed_calls.emplace_back(fs, from, to);
+  };
+  std::size_t audited = 0;
+  std::size_t sheds_seen = 0;
+  transport.around = [&](std::uint32_t node, const Message& message,
+                         const std::function<void()>& deliver) {
+    if (!std::holds_alternative<RegionMapUpdate>(message)) {
+      deliver();
+      return;
+    }
+    const core::RegionMap before = cluster.map_of(node);
+    shed_calls.clear();
+    deliver();
+    EXPECT_EQ(shed_calls, brute_force_sheds(node, before, cluster.map_of(node),
+                                            names, config))
+        << "node " << node << " at t=" << sim.now();
+    ++audited;
+    sheds_seen += shed_calls.size();
+  };
+
+  // Two fail/recover cycles; the first takes down the delegate.
+  sim.schedule_at(120.0 * 3 + 30.0, [&] { cluster.fail_server(0); });
+  sim.schedule_at(120.0 * 6 + 30.0, [&] { cluster.recover_server(0); });
+  sim.schedule_at(120.0 * 9 + 30.0, [&] { cluster.fail_server(5); });
+  sim.schedule_at(120.0 * 12 + 30.0, [&] { cluster.recover_server(5); });
+  for (int round = 1; round <= kRounds; ++round) {
+    sim.run_until(120.0 * round + 20.0);
+    for (std::uint32_t n = 0; n < kServers; ++n) {
+      if (!net.node_up(n)) continue;
+      for (std::uint32_t i = 0; i < names.size(); ++i) {
+        ASSERT_EQ(cluster.route_from(n, FileSetId(i)),
+                  cluster.route_from(n, names[i]))
+            << "node " << n << " file set " << i << " round " << round;
+      }
+    }
+  }
+  // The run exercised what it checks: faults fired, maps moved file sets,
+  // and the memo served most replicas without re-resolving.
+  EXPECT_GT(plan.injected_losses(), 0u);
+  EXPECT_GT(plan.duplications(), 0u);
+  EXPECT_GT(audited, 50u);
+  EXPECT_GT(sheds_seen, 0u);
+  EXPECT_LT(cluster.owner_tables_resolved() * 2,
+            cluster.owner_tables_requested());
+}
+
+TEST(OwnerTable, OneResolutionPerDistinctMap) {
+  ProtoHarness h(5, {1.0, 3.0, 5.0, 7.0, 9.0});
+  h.sim.run_until(120.0 * 10 + 10.0);
+  ASSERT_TRUE(h.cluster.replicas_agree());
+  // Every node adopts a map at construction, at registration, and once per
+  // round; the equal-share map resolves once per file-set list, and each
+  // round's map once, however many replicas apply it.
+  EXPECT_EQ(h.cluster.owner_tables_requested(), 5u + 5u + 5u * 10u);
+  EXPECT_LE(h.cluster.owner_tables_resolved(), 2u + 10u);
+}
+
+TEST(OwnerTable, SameVersionDifferentMapsRouteByContent) {
+  // Under heartbeat split views two delegates can publish different maps
+  // as one round's version. Each replica must route by its own map, so the
+  // owner-table memo has to compare map content, not versions.
+  ProtoHarness h(5, {1.0, 3.0, 5.0, 7.0, 9.0});
+  h.sim.run_until(120.0 * 3 + 10.0);
+  core::RegionMap a = h.cluster.map_of(0);
+  core::RegionMap b = a;
+  a.rebalance(core::RegionMap::normalize_shares({1.0, 1.0, 1.0, 1.0, 12.0}));
+  b.rebalance(core::RegionMap::normalize_shares({12.0, 1.0, 1.0, 1.0, 1.0}));
+  RegionMapUpdate update;
+  update.version = 1000;
+  update.round = 1000;
+  update.partitions = a.snapshot();
+  h.net.send(0, 1, update);
+  h.sim.run_until(h.sim.now() + 1.0);
+  update.partitions = b.snapshot();
+  h.net.send(0, 2, update);
+  h.sim.run_until(h.sim.now() + 1.0);
+
+  ASSERT_EQ(h.cluster.version_of(1), 1000u);
+  ASSERT_EQ(h.cluster.version_of(2), 1000u);
+  EXPECT_TRUE(h.cluster.map_of(1) == a);
+  EXPECT_TRUE(h.cluster.map_of(2) == b);
+  const ProtocolConfig config;
+  std::size_t differing = 0;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    const std::string name = "p/" + std::to_string(i);
+    const ServerId on_a = probe_owner(a, name, config);
+    const ServerId on_b = probe_owner(b, name, config);
+    EXPECT_EQ(h.cluster.route_from(1, FileSetId(i)), on_a) << name;
+    EXPECT_EQ(h.cluster.route_from(2, FileSetId(i)), on_b) << name;
+    if (on_a != on_b) ++differing;
+  }
+  EXPECT_GT(differing, 0u);
+}
+
 // --- heartbeat failure detection -------------------------------------------
 
 // --- reliable delivery under faults ----------------------------------------
@@ -364,12 +568,6 @@ TEST(HeartbeatView, UpCountTracksViews) {
   for (std::uint32_t p = 1; p < 4; ++p) view.heard_from(p, 50.0);
   EXPECT_EQ(view.believed_up_count(51.0), 4u);
   EXPECT_EQ(view.believed_up_count(60.0), 1u);  // only self
-}
-
-ProtocolConfig heartbeat_config() {
-  ProtocolConfig config;
-  config.use_heartbeats = true;
-  return config;
 }
 
 TEST(ProtocolHeartbeat, ConvergesLikeOracleMembership) {

@@ -61,15 +61,21 @@ TEST(Sweep, ThrowingJobRethrowsOnCaller) {
 }
 
 TEST(Sweep, ThrowingJobAbandonsUnstartedJobs) {
-  // One poisoned job among slow ones: jobs claimed after the failure is
-  // flagged must not run. With 2 workers and the first job throwing
-  // immediately, at most a handful of jobs start before the flag is seen.
+  // Poisoned jobs among healthy ones: jobs claimed after the failure is
+  // flagged must not run. Each participant meets a poisoned job before it
+  // can run all the healthy ones. The inline path runs index 0 first. In
+  // the pool, a participant pops its own shard from the back and steals
+  // only once that shard is empty: the helper starts at index 1001, and
+  // the caller runs index 0 before it steals. Index 0 alone would be the
+  // caller's last job, often run after every healthy one.
   std::atomic<int> ran{0};
   std::vector<std::function<void()>> jobs;
-  jobs.push_back([] { throw std::logic_error("poison"); });
+  const auto poison = [] { throw std::logic_error("poison"); };
+  jobs.push_back(poison);
   for (int i = 0; i < 1000; ++i) {
     jobs.push_back([&] { ++ran; });
   }
+  jobs.push_back(poison);
   EXPECT_THROW(run_parallel(jobs, 2), std::logic_error);
   EXPECT_LT(ran.load(), 1000);
 }
