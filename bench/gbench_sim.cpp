@@ -5,6 +5,8 @@
 // docs/observability.md: disabled tracing must cost < 2%).
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "driver/balancer_factory.h"
 #include "driver/experiment.h"
 #include "obs/trace_sink.h"
@@ -59,9 +61,9 @@ void BM_EventScheduleInterleaved(benchmark::State& state) {
     Simulation sim;
     std::size_t remaining = chain;
     std::function<void()> next = [&] {
-      if (--remaining > 0) sim.schedule_after(1.0, next);
+      if (--remaining > 0) sim.schedule_after(1.0, [&next] { next(); });
     };
-    sim.schedule_after(1.0, next);
+    sim.schedule_after(1.0, [&next] { next(); });
     benchmark::DoNotOptimize(sim.run_to_completion());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -88,8 +90,11 @@ BENCHMARK(BM_FifoServiceLoop)->Arg(1024)->Arg(8192);
 // End-to-end experiment run, tracing disabled vs enabled. The untraced
 // variant is the regression guard for the instrumentation: every emit site
 // is a single null-pointer branch, so it must stay within noise of the
-// pre-observability driver.
-void run_experiment_bench(benchmark::State& state, bool traced) {
+// pre-observability driver. The redundancy variant runs the same workload
+// through redundancy-d (d = 2, cancel-on-complete), which puts the
+// driver's replica race on every request.
+void run_experiment_bench(benchmark::State& state,
+                          anu::driver::SystemKind kind, bool traced) {
   anu::workload::SyntheticConfig wconfig;
   wconfig.request_count = 8000;
   wconfig.file_set_count = 30;
@@ -97,12 +102,18 @@ void run_experiment_bench(benchmark::State& state, bool traced) {
   const auto workload = anu::workload::make_synthetic_workload(wconfig);
   anu::driver::ExperimentConfig config;
   config.tuning_interval = 60.0;
+  anu::driver::SystemConfig system;
+  system.kind = kind;
+  // One ring for all iterations, cleared before each run: building the
+  // default 1M-event ring (~48 MB) costs more than the run it traces, and
+  // an untraced run has no sink at all.
+  std::optional<anu::obs::TraceSink> sink;
+  if (traced) sink.emplace();
   for (auto _ : state) {
-    anu::obs::TraceSink sink;
-    config.trace = traced ? &sink : nullptr;
-    auto balancer = anu::driver::make_balancer(
-        anu::driver::SystemConfig{},
-        config.cluster.server_speeds.size());
+    if (sink) sink->clear();
+    config.trace = sink ? &*sink : nullptr;
+    auto balancer =
+        anu::driver::make_balancer(system, config.cluster.server_speeds.size());
     const auto result =
         anu::driver::run_experiment(config, workload, *balancer);
     benchmark::DoNotOptimize(result.requests_completed);
@@ -112,13 +123,19 @@ void run_experiment_bench(benchmark::State& state, bool traced) {
 }
 
 void BM_ExperimentUntraced(benchmark::State& state) {
-  run_experiment_bench(state, /*traced=*/false);
+  run_experiment_bench(state, anu::driver::SystemKind::kAnu, /*traced=*/false);
 }
 BENCHMARK(BM_ExperimentUntraced);
 
 void BM_ExperimentTraced(benchmark::State& state) {
-  run_experiment_bench(state, /*traced=*/true);
+  run_experiment_bench(state, anu::driver::SystemKind::kAnu, /*traced=*/true);
 }
 BENCHMARK(BM_ExperimentTraced);
+
+void BM_ExperimentRedundancy(benchmark::State& state) {
+  run_experiment_bench(state, anu::driver::SystemKind::kRedundancyD,
+                       /*traced=*/false);
+}
+BENCHMARK(BM_ExperimentRedundancy);
 
 }  // namespace

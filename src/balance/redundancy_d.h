@@ -53,7 +53,7 @@ class RedundancyDBalancer final : public DispatchBalancer {
 
   /// Manifest counters (docs/strategies.md): dispatches,
   /// replicas_requested. The driver adds the race outcomes
-  /// (replication.* counters) next to these.
+  /// (replicas_* counters) next to these.
   [[nodiscard]] BalanceCounters counters() const override;
 
   [[nodiscard]] const RedundancyDConfig& config() const { return config_; }

@@ -70,6 +70,9 @@ ServerId Cluster::add_server(double speed) {
   s->on_flush = [this](FileSetId fs, double demand, std::uint64_t job_id) {
     if (on_flush) on_flush(fs, demand, job_id);
   };
+  s->on_start = [this](std::uint64_t job_id) {
+    if (on_start) on_start(job_id);
+  };
   s->on_idle = [this](ServerId idle) {
     if (on_idle) on_idle(idle);
   };

@@ -70,11 +70,14 @@ class Cluster {
 
   /// Fired on every request completion (for metrics) and on every request
   /// flushed by a failure (for re-dispatch; job_id is the flushed job's
-  /// cancellation id, 0 for plain requests). on_idle fires when an up
+  /// cancellation id, 0 for plain requests). on_start fires with the job
+  /// id of a replica (Server::submit_replica) whose service begins — the
+  /// cancel-on-start hook of redundant dispatch. on_idle fires when an up
   /// server's queue drains — the idle-token feed for JIQ-style dispatch
   /// strategies (docs/strategies.md).
   std::function<void(const Completion&)> on_complete;
   std::function<void(FileSetId, double demand, std::uint64_t job_id)> on_flush;
+  std::function<void(std::uint64_t job_id)> on_start;
   std::function<void(ServerId)> on_idle;
 
  private:

@@ -43,14 +43,13 @@ double Server::warmth(FileSetId file_set) const {
 void Server::evict(FileSetId file_set) { cache_hits_.erase(file_set.value()); }
 
 void Server::submit(FileSetId file_set, double demand, SimTime arrival) {
-  enqueue(file_set, demand, arrival, 0, nullptr);
+  enqueue(file_set, demand, arrival, 0);
 }
 
 void Server::submit_replica(FileSetId file_set, double demand,
-                            std::uint64_t job_id,
-                            std::function<void(SimTime)> on_start) {
+                            std::uint64_t job_id) {
   ANU_REQUIRE(job_id != 0);
-  enqueue(file_set, demand, -1.0, job_id, std::move(on_start));
+  enqueue(file_set, demand, -1.0, job_id);
 }
 
 sim::CancelOutcome Server::cancel(std::uint64_t job_id) {
@@ -58,8 +57,7 @@ sim::CancelOutcome Server::cancel(std::uint64_t job_id) {
 }
 
 void Server::enqueue(FileSetId file_set, double demand, SimTime arrival,
-                     std::uint64_t job_id,
-                     std::function<void(SimTime)> on_start) {
+                     std::uint64_t job_id) {
   ANU_REQUIRE(is_up());
   sim::Job job;
   job.demand = demand * cache_factor(file_set);
@@ -67,9 +65,11 @@ void Server::enqueue(FileSetId file_set, double demand, SimTime arrival,
   job.tag = file_set.value();
   job.id = job_id;
   job.arrival = arrival;
-  if (on_start) {
-    job.on_start = [cb = std::move(on_start)](SimTime when, const sim::Job&) {
-      cb(when);
+  // Capturing only `this` keeps both callbacks inside std::function's
+  // inline buffer: enqueueing a job allocates nothing for them.
+  if (job_id != 0) {
+    job.on_start = [this](SimTime, const sim::Job& started) {
+      if (on_start) on_start(started.id);
     };
   }
   job.on_complete = [this](SimTime when, const sim::Job& done) {

@@ -74,12 +74,12 @@ class Server {
 
   /// Enqueues one replica of a redundant dispatch (docs/strategies.md).
   /// `job_id` (nonzero, unique across the run) identifies the replica for
-  /// cancel(); `on_start` fires when its service begins — possibly
-  /// synchronously inside this call when the server is idle — which is the
-  /// driver's cancel-on-start hook. The replica's Completion carries
-  /// job_id so the driver can settle the group.
-  void submit_replica(FileSetId file_set, double demand, std::uint64_t job_id,
-                      std::function<void(SimTime)> on_start);
+  /// cancel(); the on_start observer receives it when the replica's
+  /// service begins — possibly synchronously inside this call when the
+  /// server is idle — which is the driver's cancel-on-start hook. The
+  /// replica's Completion carries job_id so the driver can settle the
+  /// group.
+  void submit_replica(FileSetId file_set, double demand, std::uint64_t job_id);
 
   /// Cancels the replica with nonzero id `job_id`: a waiting replica is
   /// dropped, an in-service one is aborted (partial work still counts as
@@ -145,16 +145,18 @@ class Server {
 
   /// Observers (wired by the Cluster). on_flush reports the flushed job's
   /// cancellation id (0 for plain requests) so the driver can tell a
-  /// stranded replica from a request it must re-dispatch. on_idle fires
-  /// when the queue drains while the server is up — the idle-token feed
-  /// for JIQ-style dispatchers.
+  /// stranded replica from a request it must re-dispatch. on_start reports
+  /// the job id of a replica (submit_replica) whose service begins; plain
+  /// requests do not fire it. on_idle fires when the queue drains while the
+  /// server is up — the idle-token feed for JIQ-style dispatchers.
   std::function<void(const Completion&)> on_complete;
   std::function<void(FileSetId, double demand, std::uint64_t job_id)> on_flush;
+  std::function<void(std::uint64_t job_id)> on_start;
   std::function<void(ServerId)> on_idle;
 
  private:
   void enqueue(FileSetId file_set, double demand, SimTime arrival,
-               std::uint64_t job_id, std::function<void(SimTime)> on_start);
+               std::uint64_t job_id);
   [[nodiscard]] double cache_factor(FileSetId file_set) const;
 
   ServerId id_;

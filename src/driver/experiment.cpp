@@ -1,8 +1,9 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
+#include <optional>
 
 #include "common/assert.h"
 #include "metrics/latency_tracker.h"
@@ -28,6 +29,13 @@ std::vector<std::vector<double>> lookahead_demands(
   }
   return demand;
 }
+
+// Replica job-id layout (see ReplicaManager in run_experiment): the low
+// kReplicaIndexBits hold the replica's index within its group.
+constexpr std::uint32_t kReplicaIndexBits = 3;
+static_assert(balance::DispatchDecision::kMaxTargets <=
+              1u << kReplicaIndexBits);
+constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
 }  // namespace
 
@@ -135,25 +143,40 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // handles, so exactly one completion per group reaches the latency stats.
   // A replica stranded on a failing server is dropped from its group, and a
   // group that loses every live replica re-dispatches the request.
+  //
+  // Groups live in a free-listed table that stops growing once it holds
+  // the most races ever open at once, so a race allocates nothing. A
+  // replica's job id is generation << 32 | slot << 3 | replica index: the
+  // start, completion and flush hooks find the group by arithmetic. A
+  // slot's generation starts at 1 and bumps whenever its group settles, so
+  // ids are nonzero, unique across the run, and a stale id (a settled
+  // group's) matches nothing.
   struct ReplicaManager {
+    using Cancel = balance::DispatchDecision::Cancel;
+
     struct Replica {
       ServerId server;
-      std::uint64_t id = 0;
       bool active = false;
     };
     struct Group {
       FileSetId fs;
       double demand = 0.0;
-      balance::DispatchDecision::Cancel mode =
-          balance::DispatchDecision::Cancel::kOnComplete;
+      Cancel mode = Cancel::kOnComplete;
       bool claimed = false;
-      std::vector<Replica> replicas;
+      std::uint32_t count = 0;
+      std::uint32_t generation = 1;
+      std::uint32_t next_free = kNoSlot;
+      std::array<Replica, balance::DispatchDecision::kMaxTargets> replicas{};
+    };
+    /// Where a job id's replica lives in the table.
+    struct Ticket {
+      std::uint32_t slot;
+      std::uint32_t index;
     };
 
     cluster::Cluster& cluster;
-    std::unordered_map<std::uint64_t, Group> groups = {};
-    std::unordered_map<std::uint64_t, std::uint64_t> group_of = {};  // ->gid
-    std::uint64_t next_id = 1;  // job ids and group ids share one counter
+    std::vector<Group> groups = {};
+    std::uint32_t free_head = kNoSlot;
     std::function<void(FileSetId, double)> redispatch = nullptr;
     std::uint64_t submitted = 0;
     std::uint64_t cancelled_queued = 0;
@@ -161,88 +184,115 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     std::uint64_t elided = 0;   // never submitted: a sibling already started
     std::uint64_t rescued = 0;  // all replicas lost to failures, re-dispatched
 
-    void cancel_losers(Group& group, std::uint64_t winner) {
-      for (Replica& rep : group.replicas) {
-        if (!rep.active || rep.id == winner) continue;
-        switch (cluster.server(rep.server).cancel(rep.id)) {
+    std::uint64_t job_id(std::uint32_t slot, std::uint32_t index) const {
+      return std::uint64_t{groups[slot].generation} << 32 |
+             std::uint64_t{slot} << kReplicaIndexBits | index;
+    }
+    /// The ticket of a replica still in its race; nullopt when the id is
+    /// stale or the replica was cancelled or lost.
+    std::optional<Ticket> racing(std::uint64_t id) const {
+      const auto low = static_cast<std::uint32_t>(id);
+      const Ticket t{low >> kReplicaIndexBits,
+                     low & ((1u << kReplicaIndexBits) - 1)};
+      if (t.slot >= groups.size()) return std::nullopt;
+      const Group& group = groups[t.slot];
+      if (group.generation != static_cast<std::uint32_t>(id >> 32) ||
+          t.index >= group.count || !group.replicas[t.index].active) {
+        return std::nullopt;
+      }
+      return t;
+    }
+    std::uint32_t acquire() {
+      if (free_head == kNoSlot) {
+        ANU_REQUIRE(groups.size() < std::size_t{1} << (32 - kReplicaIndexBits));
+        groups.emplace_back();
+        return static_cast<std::uint32_t>(groups.size() - 1);
+      }
+      const std::uint32_t slot = free_head;
+      free_head = groups[slot].next_free;
+      return slot;
+    }
+    void release(std::uint32_t slot) {
+      Group& group = groups[slot];
+      ++group.generation;
+      ANU_REQUIRE(group.generation != 0);  // ids would repeat
+      group.next_free = free_head;
+      free_head = slot;
+    }
+
+    void cancel_losers(Ticket winner) {
+      Group& group = groups[winner.slot];
+      for (std::uint32_t i = 0; i < group.count; ++i) {
+        Replica& rep = group.replicas[i];
+        if (!rep.active || i == winner.index) continue;
+        switch (cluster.server(rep.server).cancel(job_id(winner.slot, i))) {
           case sim::CancelOutcome::kQueued: ++cancelled_queued; break;
           case sim::CancelOutcome::kInService: ++cancelled_in_service; break;
           case sim::CancelOutcome::kNotFound: break;
         }
         rep.active = false;
-        group_of.erase(rep.id);
       }
     }
     void on_start(std::uint64_t id) {
-      const auto it = group_of.find(id);
-      if (it == group_of.end()) return;
-      Group& group = groups.at(it->second);
-      if (group.mode != balance::DispatchDecision::Cancel::kOnStart) return;
+      const std::optional<Ticket> t = racing(id);
+      if (!t) return;
+      Group& group = groups[t->slot];
+      if (group.mode != Cancel::kOnStart) return;
       group.claimed = true;
-      cancel_losers(group, id);
+      cancel_losers(*t);
     }
     void on_complete(std::uint64_t id) {
-      const auto it = group_of.find(id);
-      if (it == group_of.end()) return;
-      const std::uint64_t gid = it->second;
-      cancel_losers(groups.at(gid), id);
-      group_of.erase(id);
-      groups.erase(gid);
+      const std::optional<Ticket> t = racing(id);
+      if (!t) return;
+      cancel_losers(*t);
+      release(t->slot);
     }
     void on_lost(std::uint64_t id) {
-      const auto it = group_of.find(id);
-      if (it == group_of.end()) return;
-      const std::uint64_t gid = it->second;
-      Group& group = groups.at(gid);
-      group_of.erase(id);
-      bool any_active = false;
-      for (Replica& rep : group.replicas) {
-        if (rep.id == id) rep.active = false;
-        any_active = any_active || rep.active;
+      const std::optional<Ticket> t = racing(id);
+      if (!t) return;
+      Group& group = groups[t->slot];
+      group.replicas[t->index].active = false;
+      for (std::uint32_t i = 0; i < group.count; ++i) {
+        if (group.replicas[i].active) return;
       }
-      if (any_active) return;
       const FileSetId fs = group.fs;
       const double demand = group.demand;
-      groups.erase(gid);
+      release(t->slot);
       ++rescued;
       redispatch(fs, demand);
     }
     void submit(const balance::DispatchDecision& decision, FileSetId fs,
                 double demand, obs::TraceSink* trace, SimTime now) {
-      const std::uint64_t gid = next_id++;
-      Group group;
+      const std::uint32_t slot = acquire();
+      Group& group = groups[slot];
       group.fs = fs;
       group.demand = demand;
       group.mode = decision.cancel;
-      group.replicas.resize(decision.count);
+      group.claimed = false;
+      group.count = decision.count;
       for (std::uint32_t i = 0; i < decision.count; ++i) {
-        group.replicas[i].server = decision.targets[i];
-        group.replicas[i].id = next_id++;
+        group.replicas[i] = Replica{decision.targets[i], false};
       }
-      groups.emplace(gid, std::move(group));
       for (std::uint32_t i = 0; i < decision.count; ++i) {
-        // Re-fetch each iteration: submit_replica can fire on_start
+        // Re-read each iteration: submit_replica can fire on_start
         // synchronously (idle server), which claims the group.
-        Group& g = groups.at(gid);
+        Group& g = groups[slot];
         if (g.claimed) {
           ++elided;
           continue;
         }
         Replica& rep = g.replicas[i];
         rep.active = true;
-        group_of[rep.id] = gid;
         ++submitted;
         if (trace) {
           trace->emit(now, obs::EventType::kRequestIssue, fs.value(),
                       rep.server.value(), 0, demand);
         }
-        const std::uint64_t rid = rep.id;
-        cluster.server(rep.server)
-            .submit_replica(fs, demand, rid,
-                            [this, rid](SimTime) { on_start(rid); });
+        cluster.server(rep.server).submit_replica(fs, demand, job_id(slot, i));
       }
     }
   } replicas{cluster};
+  cluster.on_start = [&](std::uint64_t id) { replicas.on_start(id); };
 
   std::uint64_t issued = 0;
   std::function<void(FileSetId, double)> dispatch = [&](FileSetId fs,
@@ -320,12 +370,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       ++issued;
       dispatch(r.file_set, r.demand);
     }
+    // Re-armed through a reference: copying `arrive` into the event would
+    // heap-allocate its captures on every arrival.
     if (cursor < requests.size()) {
-      sim.schedule_at(requests[cursor].arrival, arrive);
+      sim.schedule_at(requests[cursor].arrival, [&arrive] { arrive(); });
     }
   };
   if (!requests.empty()) {
-    sim.schedule_at(requests.front().arrival, arrive);
+    sim.schedule_at(requests.front().arrival, [&arrive] { arrive(); });
   }
 
   // The tuning loop (§4): collect interval reports, delegate round, record

@@ -116,11 +116,15 @@ ExperimentResult run_protocol_experiment(
       ++issued;
       dispatch(r.file_set, r.demand);
     }
+    // Re-armed through a reference: copying `arrive` into the event would
+    // heap-allocate its captures on every arrival.
     if (cursor < requests.size()) {
-      sim.schedule_at(requests[cursor].arrival, arrive);
+      sim.schedule_at(requests[cursor].arrival, [&arrive] { arrive(); });
     }
   };
-  if (!requests.empty()) sim.schedule_at(requests.front().arrival, arrive);
+  if (!requests.empty()) {
+    sim.schedule_at(requests.front().arrival, [&arrive] { arrive(); });
+  }
 
   // Membership: cluster and protocol change together; the failed node's
   // flushed requests re-dispatch via the (surviving) replicas.

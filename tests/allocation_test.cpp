@@ -1,0 +1,136 @@
+// Heap allocations the experiment driver makes per completed request.
+//
+// This binary replaces the global operator new/delete with counting
+// forwards to std::malloc/std::free, so ASan and TSan still see every
+// block. Counting is on only inside run_experiment: workload generation and
+// balancer construction are not charged. The event slab, the replica group
+// table and the per-job callbacks all reuse storage; what remains per
+// request is the FIFO queues' deque blocks and per-round tuning results.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "driver/balancer_factory.h"
+#include "driver/experiment.h"
+#include "driver/paper.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t size, std::size_t align) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(size);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void* counted_new(std::size_t size, std::size_t align) {
+  void* p = counted_malloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size, 0); }
+void* operator new[](std::size_t size) { return counted_new(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_new(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_new(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_malloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_malloc(size, static_cast<std::size_t>(align));
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace anu::driver {
+namespace {
+
+/// Allocations inside one §5.1 synthetic run, per completed request.
+double allocations_per_request(const SystemConfig& system) {
+  const workload::Workload workload = paper_synthetic_workload();
+  const ExperimentConfig config = paper_experiment_config();
+  auto balancer = make_balancer(system, config.cluster.server_speeds.size());
+  g_allocations.store(0);
+  g_counting.store(true);
+  const ExperimentResult result = run_experiment(config, workload, *balancer);
+  g_counting.store(false);
+  EXPECT_GT(result.requests_completed, 60'000u);
+  const double per_request = static_cast<double>(g_allocations.load()) /
+                             static_cast<double>(result.requests_completed);
+  ::testing::Test::RecordProperty("allocations_per_request",
+                                  std::to_string(per_request));
+  return per_request;
+}
+
+TEST(Allocation, AnuRunAllocatesLessThanOncePerRequest) {
+  SystemConfig system;
+  system.kind = SystemKind::kAnu;
+  EXPECT_LT(allocations_per_request(system), 1.0);
+}
+
+TEST(Allocation, RedundancyCancelOnCompleteAllocatesLessThanOncePerRequest) {
+  SystemConfig system;
+  system.kind = SystemKind::kRedundancyD;
+  system.red.d = 2;
+  system.red.cancel = balance::RedundancyDConfig::CancelMode::kOnComplete;
+  EXPECT_LT(allocations_per_request(system), 1.0);
+}
+
+TEST(Allocation, RedundancyCancelOnStartAllocatesLessThanOncePerRequest) {
+  SystemConfig system;
+  system.kind = SystemKind::kRedundancyD;
+  system.red.d = 3;
+  system.red.cancel = balance::RedundancyDConfig::CancelMode::kOnStart;
+  EXPECT_LT(allocations_per_request(system), 1.0);
+}
+
+}  // namespace
+}  // namespace anu::driver

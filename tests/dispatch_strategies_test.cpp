@@ -324,5 +324,76 @@ TEST(DispatchEndToEnd, SurvivesServerFailure) {
   }
 }
 
+// --- golden runs: the replica race pinned value for value ---
+
+driver::ExperimentResult race(std::uint32_t d,
+                              RedundancyDConfig::CancelMode mode,
+                              const cluster::FailureSchedule& failures = {}) {
+  driver::SystemConfig system;
+  system.kind = driver::SystemKind::kRedundancyD;
+  system.red.d = d;
+  system.red.cancel = mode;
+  auto config = small_experiment();
+  config.failures = failures;
+  auto balancer = driver::make_balancer(system, 5);
+  return driver::run_experiment(config, small_workload(), *balancer);
+}
+
+// The literals below were captured by running these test bodies at commit
+// 6c2f85adde4f, whose replica manager kept its groups in hash maps and
+// reported starts through per-job callbacks: the group table must leave
+// every decision of the race unchanged.
+TEST(RedundancyGolden, TwoReplicasCancelOnComplete) {
+  const auto r = race(2, RedundancyDConfig::CancelMode::kOnComplete);
+  const auto& c = r.balance.counters;
+  EXPECT_EQ(r.requests_completed, 3000u);
+  EXPECT_EQ(r.served, (std::vector<std::uint64_t>{0, 367, 626, 901, 1106}));
+  EXPECT_EQ(counter(c, "replicas_submitted"), 6000u);
+  EXPECT_EQ(counter(c, "replicas_cancelled_queued"), 1344u);
+  EXPECT_EQ(counter(c, "replicas_cancelled_in_service"), 1656u);
+  EXPECT_EQ(counter(c, "replicas_elided"), 0u);
+  EXPECT_EQ(counter(c, "replicas_rescued"), 0u);
+  EXPECT_EQ(r.queue.executed, 6147u);
+  EXPECT_EQ(r.queue.cancelled_skipped, 1656u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 1.3335214321633229);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 7.4989420933245521);
+}
+
+TEST(RedundancyGolden, ThreeReplicasCancelOnStart) {
+  const auto r = race(3, RedundancyDConfig::CancelMode::kOnStart);
+  const auto& c = r.balance.counters;
+  EXPECT_EQ(r.requests_completed, 3000u);
+  EXPECT_EQ(r.served, (std::vector<std::uint64_t>{169, 459, 649, 816, 907}));
+  EXPECT_EQ(counter(c, "replicas_submitted"), 6233u);
+  EXPECT_EQ(counter(c, "replicas_cancelled_queued"), 3233u);
+  EXPECT_EQ(counter(c, "replicas_cancelled_in_service"), 0u);
+  EXPECT_EQ(counter(c, "replicas_elided"), 2767u);
+  EXPECT_EQ(counter(c, "replicas_rescued"), 0u);
+  EXPECT_EQ(r.queue.executed, 6147u);
+  EXPECT_EQ(r.queue.cancelled_skipped, 0u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 1.0592537251772889);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 7.4989420933245521);
+}
+
+TEST(RedundancyGolden, TwoReplicasRescuedFromFailures) {
+  // Failures take one server down at a time, so only cancel-on-start (one
+  // live replica once a sibling starts) leaves a race with no survivor.
+  const auto failures =
+      cluster::FailureSchedule::random_fail_recover(1, 5, 8, 1200.0, 60.0);
+  const auto r = race(2, RedundancyDConfig::CancelMode::kOnStart, failures);
+  const auto& c = r.balance.counters;
+  EXPECT_EQ(r.requests_completed, 3000u);
+  EXPECT_EQ(r.served, (std::vector<std::uint64_t>{172, 522, 644, 843, 819}));
+  EXPECT_EQ(counter(c, "replicas_submitted"), 5207u);
+  EXPECT_EQ(counter(c, "replicas_cancelled_queued"), 2201u);
+  EXPECT_EQ(counter(c, "replicas_cancelled_in_service"), 0u);
+  EXPECT_EQ(counter(c, "replicas_elided"), 803u);
+  EXPECT_EQ(counter(c, "replicas_rescued"), 5u);
+  EXPECT_EQ(r.queue.executed, 6163u);
+  EXPECT_EQ(r.queue.cancelled_skipped, 5u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 1.3335214321633229);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 13.335214321633227);
+}
+
 }  // namespace
 }  // namespace anu::balance
