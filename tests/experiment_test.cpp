@@ -382,5 +382,49 @@ TEST(Experiment, StaticSystemsHaveFlatShares) {
             result.shares_over_time.back().share);
 }
 
+/// ANU on small_workload() through the fastest server failing, recovering,
+/// and a new fast server joining.
+ExperimentResult anu_churn_run(std::uint32_t placement_choices) {
+  auto config = base_config();
+  cluster::FailureSchedule schedule;
+  schedule.add({600.0, cluster::MembershipAction::kFail, ServerId(4), 0.0});
+  schedule.add({1200.0, cluster::MembershipAction::kRecover, ServerId(4), 0.0});
+  schedule.add({1800.0, cluster::MembershipAction::kAdd, ServerId(), 9.0});
+  config.failures = schedule;
+  SystemConfig system;
+  system.kind = SystemKind::kAnu;
+  system.anu.placement_choices = placement_choices;
+  auto balancer = make_balancer(system, config.cluster.server_speeds.size());
+  return run_experiment(config, small_workload(), *balancer);
+}
+
+// The literals below were captured by running these test bodies at commit
+// b86912d501a6, where AnuBalancer kept its own probe loop and retune
+// pipeline: the shared placement functions must leave every decision of
+// the run unchanged.
+TEST(ExperimentGolden, AnuSingleChoiceThroughMembershipChurn) {
+  const ExperimentResult r = anu_churn_run(1);
+  EXPECT_EQ(r.total_moved, 84u);
+  EXPECT_EQ(r.served,
+            (std::vector<std::uint64_t>{206, 846, 1884, 2857, 1740, 430}));
+  EXPECT_EQ(r.tuning_rounds, 19u);
+  EXPECT_DOUBLE_EQ(r.percent_workload_moved, 286.28361721697325);
+  EXPECT_EQ(r.shared_state_bytes, 200u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 1.1885022274370178);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 84.139514164519568);
+}
+
+TEST(ExperimentGolden, AnuTwoChoicesThroughMembershipChurn) {
+  const ExperimentResult r = anu_churn_run(2);
+  EXPECT_EQ(r.total_moved, 214u);
+  EXPECT_EQ(r.served,
+            (std::vector<std::uint64_t>{203, 990, 1935, 2757, 1696, 384}));
+  EXPECT_EQ(r.tuning_rounds, 19u);
+  EXPECT_DOUBLE_EQ(r.percent_workload_moved, 677.65355589609271);
+  EXPECT_EQ(r.shared_state_bytes, 204u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 1.1885022274370178);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 53.088444423098849);
+}
+
 }  // namespace
 }  // namespace anu::driver

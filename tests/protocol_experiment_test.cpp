@@ -97,9 +97,10 @@ TEST(ProtocolExperiment, RecordsMovement) {
 
 /// 16 servers cycling the paper speeds, 512 file sets, 2% message loss,
 /// two fail/recover cycles (the first takes down the delegate).
-ExperimentResult golden_run() {
+ExperimentResult golden_run(bool use_heartbeats = false) {
   constexpr double kSpeeds[] = {1.0, 3.0, 5.0, 7.0, 9.0};
   ProtocolExperimentConfig config;
+  config.protocol.use_heartbeats = use_heartbeats;
   config.cluster.server_speeds.clear();
   double capacity = 0.0;
   for (std::size_t s = 0; s < 16; ++s) {
@@ -151,6 +152,33 @@ TEST(ProtocolExperiment, GoldenRunMatchesPerNameRouting) {
   EXPECT_EQ(cp.acks_received, 704u);
   EXPECT_EQ(cp.duplicates_suppressed, 16u);
   EXPECT_EQ(cp.retries_abandoned, 0u);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 0.66834391756861433);
+  EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 74.989420933245512);
+}
+
+// Literals captured by running this test body at commit b86912d501a6,
+// where the delegate built its own tuner inputs from its believed-up set:
+// the shared retune must leave every decision of the run unchanged.
+TEST(ProtocolExperiment, GoldenRunWithHeartbeats) {
+  const ExperimentResult r = golden_run(/*use_heartbeats=*/true);
+  EXPECT_EQ(r.total_moved, 775u);
+  const std::vector<std::uint64_t> served{180,  1304, 2608, 2714, 5500, 252,
+                                          1631, 2097, 4719, 3272, 499,  1783,
+                                          2981, 4149, 5222, 548};
+  EXPECT_EQ(r.served, served);
+  EXPECT_EQ(r.requests_completed, 39459u);
+  const ExperimentResult::ControlPlaneStats& cp = r.control_plane;
+  EXPECT_EQ(cp.messages_sent, 694724u);
+  EXPECT_EQ(cp.messages_delivered, 680532u);
+  EXPECT_EQ(cp.drops_endpoint_down, 13526u);
+  EXPECT_EQ(cp.drops_injected, 13952u);
+  EXPECT_EQ(cp.duplicates_injected, 0u);
+  EXPECT_EQ(cp.bytes_sent, 5717004u);
+  EXPECT_EQ(cp.reliable_sent, 705u);
+  EXPECT_EQ(cp.retransmits, 33u);
+  EXPECT_EQ(cp.acks_received, 704u);
+  EXPECT_EQ(cp.duplicates_suppressed, 13u);
+  EXPECT_EQ(cp.retries_abandoned, 1u);
   EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 0.66834391756861433);
   EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 74.989420933245512);
 }
