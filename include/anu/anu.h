@@ -89,7 +89,10 @@ class Balancer {
 
   /// Runs one delegate round on the recorded reports, applies the new map,
   /// and clears the reports. An up server with no report reads as idle
-  /// (bounded growth), a down server's region is reclaimed.
+  /// (bounded growth), a down server's region is reclaimed. With every
+  /// server down no round can run: the map is kept (route() keeps
+  /// answering from it), the reports are cleared, the version still
+  /// increments, and `changed` is false.
   RetuneResult retune();
 
   /// Routes a key on the current map: the server that owns it.

@@ -24,7 +24,7 @@
 #include "common/types.h"              // IWYU pragma: export
 #include "common/unit_point.h"         // IWYU pragma: export
 #include "core/anu_balancer.h"         // IWYU pragma: export
-#include "core/delegate.h"             // IWYU pragma: export
+#include "core/placement.h"            // IWYU pragma: export
 #include "core/region_map.h"           // IWYU pragma: export
 #include "core/tuner.h"                // IWYU pragma: export
 #include "driver/balancer_factory.h"   // IWYU pragma: export

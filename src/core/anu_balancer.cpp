@@ -1,6 +1,9 @@
 #include "core/anu_balancer.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/log.h"
@@ -42,16 +45,7 @@ void AnuBalancer::report(ServerId server,
 }
 
 AnuBalancer::Lookup AnuBalancer::locate(std::string_view name) const {
-  for (std::uint32_t r = 0; r < config_.max_probe_rounds; ++r) {
-    const UnitPoint p = family_.unit_point(name, r);
-    if (auto owner = regions_.owner_at(p)) {
-      return Lookup{*owner, r + 1};
-    }
-  }
-  // Mapped regions cover exactly half the interval, so the probability of
-  // reaching here is 2^-max_probe_rounds — it indicates corruption.
-  ANU_ENSURE(false && "ANU lookup exhausted the hash family");
-  return {};
+  return core::locate(family_, regions_, name, config_.max_probe_rounds);
 }
 
 bool AnuBalancer::server_up(ServerId id) const {
@@ -62,23 +56,9 @@ bool AnuBalancer::server_up(ServerId id) const {
 std::vector<AnuBalancer::Lookup> AnuBalancer::candidate_set(
     std::string_view name, std::uint32_t count) const {
   ANU_REQUIRE(count >= 1);
-  std::vector<Lookup> found;
-  found.reserve(count);
-  for (std::uint32_t r = 0;
-       r < config_.max_probe_rounds && found.size() < count; ++r) {
-    const UnitPoint p = family_.unit_point(name, r);
-    const auto owner = regions_.owner_at(p);
-    if (!owner) continue;
-    bool seen = false;
-    for (const Lookup& earlier : found) {
-      if (earlier.server == *owner) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) found.push_back(Lookup{*owner, r + 1});
-  }
-  ANU_ENSURE(!found.empty());  // half the interval is mapped
+  std::vector<Lookup> found(count);
+  found.resize(probe_distinct(family_, regions_, name,
+                              config_.max_probe_rounds, found));
   return found;
 }
 
@@ -109,11 +89,14 @@ std::vector<ServerId> AnuBalancer::resolve_all() const {
     const double share = shares[s.value()].to_double();
     return (load[s.value()] + extra) / std::max(share, 1e-12);
   };
+  std::array<Lookup, 8> set;  // placement_choices <= 8
+  const auto slots = std::span(set).first(config_.placement_choices);
   for (std::size_t i = 0; i < names_.size(); ++i) {
-    const auto set = candidate_set(names_[i], config_.placement_choices);
+    const std::size_t found = probe_distinct(
+        family_, regions_, names_[i], config_.max_probe_rounds, slots);
     ServerId pick = set[0].server;
     double best = pressure(pick, weights_[i]);
-    for (std::size_t c = 1; c < set.size(); ++c) {
+    for (std::size_t c = 1; c < found; ++c) {
       const double p = pressure(set[c].server, weights_[i]);
       if (p < best) {
         best = p;
@@ -137,32 +120,27 @@ std::vector<double> AnuBalancer::up_share_weights() const {
 
 balance::RebalanceResult AnuBalancer::apply_targets(
     const std::vector<UnitPoint::raw_type>& targets) {
-  const std::vector<ServerId> before = placement_;
   regions_.rebalance(targets);
+  return replace_all();
+}
+
+balance::RebalanceResult AnuBalancer::replace_all() {
+  const std::vector<ServerId> before = std::move(placement_);
   placement_ = resolve_all();
   return balance::diff_placement(before, placement_);
 }
 
 balance::RebalanceResult AnuBalancer::tune() {
   ++rounds_;
-  std::vector<TunerInput> inputs(up_.size());
-  const auto shares = regions_.shares();
-  for (std::size_t s = 0; s < up_.size(); ++s) {
-    inputs[s].current_share = static_cast<double>(shares[s].raw());
-    if (up_[s]) {
-      // An up server that filed no report completed nothing this interval.
-      inputs[s].report =
-          pending_[s].value_or(balance::ServerReport{0.0, 0});
-    }
-    pending_[s].reset();
-  }
-  TunerDecision decision = run_delegate_round(inputs, config_.tuner);
+  const TunerDecision decision =
+      retune(regions_, pending_, up_, config_.tuner);
+  std::fill(pending_.begin(), pending_.end(), std::nullopt);
   last_average_ = decision.system_average;
   last_incompetent_ = decision.incompetent;
   for (std::uint32_t s : decision.incompetent) {
     ANU_LOG_INFO("server %u flagged incompetent (share pinned at floor)", s);
   }
-  return apply_targets(RegionMap::normalize_shares(decision.weights));
+  return replace_all();
 }
 
 balance::RebalanceResult AnuBalancer::on_server_failed(ServerId id) {

@@ -12,7 +12,8 @@
 //
 // Placement is a pure function of (hash family, region map): any node can
 // locate any file set with no lookup table, which is the addressing
-// advantage over virtual processors (§5.4).
+// advantage over virtual processors (§5.4). The probe loop and the delegate
+// round are core/placement.h's, shared with the protocol and libanu.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "balance/balancer.h"
+#include "core/placement.h"
 #include "core/region_map.h"
 #include "core/tuner.h"
 #include "hash/hash_family.h"
@@ -63,12 +65,8 @@ class AnuBalancer final : public balance::LoadBalancer {
   [[nodiscard]] std::size_t shared_state_bytes() const override;
 
   /// Stateless lookup by name: the addressing path any cluster node runs.
-  /// Also reports how many hash probes were needed (paper §4: "On average,
-  /// the system requires two probes to assign a file set").
-  struct Lookup {
-    ServerId server;
-    std::uint32_t probes = 0;
-  };
+  /// Also reports how many hash probes were needed.
+  using Lookup = core::Lookup;
   [[nodiscard]] Lookup locate(std::string_view name) const;
 
   /// Both placement candidates of a name under the two-choice heuristic:
@@ -98,6 +96,8 @@ class AnuBalancer final : public balance::LoadBalancer {
  private:
   balance::RebalanceResult apply_targets(
       const std::vector<UnitPoint::raw_type>& targets);
+  /// Re-resolves every file set after the map changed; returns the moves.
+  balance::RebalanceResult replace_all();
   [[nodiscard]] std::vector<ServerId> resolve_all() const;
   [[nodiscard]] std::vector<double> up_share_weights() const;
 

@@ -4,6 +4,7 @@
 
 #include "common/assert.h"
 #include "common/log.h"
+#include "core/placement.h"
 #include "obs/trace_sink.h"
 
 namespace anu::proto {
@@ -154,20 +155,10 @@ bool ProtocolCluster::replicas_agree() const {
   return true;
 }
 
-ServerId ProtocolCluster::route_on(const core::RegionMap& map,
-                                   std::string_view name) const {
-  for (std::uint32_t r = 0; r < config_.max_probe_rounds; ++r) {
-    if (const auto owner = map.owner_at(family_.unit_point(name, r))) {
-      return *owner;
-    }
-  }
-  ANU_ENSURE(false && "lookup exhausted the hash family");
-  return {};
-}
-
 ServerId ProtocolCluster::route_from(std::uint32_t server,
                                      std::string_view name) const {
-  return route_on(map_of(server), name);
+  return core::locate(family_, map_of(server), name, config_.max_probe_rounds)
+      .server;
 }
 
 ServerId ProtocolCluster::route_from(std::uint32_t server,
@@ -186,7 +177,9 @@ std::shared_ptr<const ProtocolCluster::OwnerTable> ProtocolCluster::resolve(
   owner.reserve(file_sets_.size());
   std::vector<std::vector<std::uint32_t>> owned(nodes_.size());
   for (std::uint32_t fs = 0; fs < file_sets_.size(); ++fs) {
-    owner.push_back(route_on(map, file_sets_[fs]));
+    owner.push_back(
+        core::locate(family_, map, file_sets_[fs], config_.max_probe_rounds)
+            .server);
     owned[owner.back().value()].push_back(fs);
   }
   last_resolved_ = std::make_shared<const OwnerTable>(
@@ -203,10 +196,6 @@ std::uint64_t ProtocolCluster::shed_notices_received(
 void ProtocolCluster::send_reliable(std::uint32_t self, std::uint32_t to,
                                     Message message) {
   Node& node = nodes_[self];
-  if (!config_.retransmit.enabled) {
-    network_.send(self, to, std::move(message));
-    return;
-  }
   const std::uint64_t seq = node.next_seq++;
   if (auto* report = std::get_if<LatencyReport>(&message)) {
     report->seq = seq;
@@ -366,26 +355,19 @@ void ProtocolCluster::delegate_tune(std::uint32_t self) {
   if (node.collecting_round <= node.last_tuned_round) return;
   node.last_tuned_round = node.collecting_round;
 
-  std::vector<core::TunerInput> inputs(nodes_.size());
-  const auto shares = node.table->map.shares();
+  // The round runs on the delegate's own membership view: with heartbeats,
+  // reclaiming the servers it believes down is how a failure's load is
+  // reassigned with no oracle at all.
+  std::vector<bool> up(nodes_.size());
   for (std::uint32_t s = 0; s < nodes_.size(); ++s) {
-    inputs[s].current_share = static_cast<double>(shares[s].raw());
-    // A server the delegate believes down gets no report — its region is
-    // reclaimed this round (with heartbeats, this is how a failure's load
-    // is reassigned with no oracle at all). A believed-up server whose
-    // report was lost reads as idle — bounded growth, never a stall.
-    if (believed_up(self, s)) {
-      inputs[s].report = node.round_reports[s].value_or(
-          balance::ServerReport{0.0, 0});
-    }
+    up[s] = believed_up(self, s);
   }
-  const auto decision =
-      core::run_delegate_round(inputs, config_.tuner, clock_.trace(), clock_.now());
   // Tune into a copy: the node's map must stay the previous configuration
   // until apply_update runs, so the delegate computes its shed notices from
   // the same (previous, new) pair as every other node.
   core::RegionMap tuned = node.table->map;
-  tuned.rebalance(core::RegionMap::normalize_shares(decision.weights));
+  core::retune(tuned, node.round_reports, up, config_.tuner, clock_.trace(),
+               clock_.now());
   ++published_;
 
   RegionMapUpdate update;
@@ -401,7 +383,7 @@ void ProtocolCluster::delegate_tune(std::uint32_t self) {
   // peers believed down are skipped — they catch up via the state transfer
   // on rejoin, or simply at the next round's version.
   for (std::uint32_t peer = 0; peer < nodes_.size(); ++peer) {
-    if (peer == self || !believed_up(self, peer)) continue;
+    if (peer == self || !up[peer]) continue;
     send_reliable(self, peer, update);
   }
   apply_update(self, update);

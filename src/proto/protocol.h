@@ -57,8 +57,6 @@ namespace anu::proto {
 /// degrade one round; under sustained loss (docs/chaos.md) reliability is
 /// what keeps every round completing and every replica converging.
 struct RetransmitConfig {
-  /// Master switch; off restores the seed's fire-and-forget behaviour.
-  bool enabled = true;
   /// Initial retransmit timeout (seconds). Doubled per attempt, capped.
   double rto = 0.1;
   double rto_max = 2.0;
@@ -217,8 +215,6 @@ class ProtocolCluster {
   void delegate_collect(std::uint32_t self, const LatencyReport& report);
   void delegate_tune(std::uint32_t self);
   void apply_update(std::uint32_t self, const RegionMapUpdate& update);
-  [[nodiscard]] ServerId route_on(const core::RegionMap& map,
-                                  std::string_view name) const;
   /// The owner table of `map`: the last one resolved when its map has the
   /// same content (never judged by version alone: under heartbeat split
   /// views two delegates can publish different maps as one round's
@@ -226,7 +222,7 @@ class ProtocolCluster {
   [[nodiscard]] std::shared_ptr<const OwnerTable> resolve(core::RegionMap map);
 
   /// Stamps the message with self's next sequence number and sends it with
-  /// ack/retransmit tracking (plain send when retransmit.enabled is off).
+  /// ack/retransmit tracking.
   void send_reliable(std::uint32_t self, std::uint32_t to, Message message);
   void arm_retransmit(std::uint32_t self, std::uint64_t seq);
   void on_retransmit_timer(std::uint32_t self, std::uint64_t seq);

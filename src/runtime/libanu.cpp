@@ -1,12 +1,14 @@
-// libanu implementation: the public Balancer facade over core/{tuner,
-// region_map} and hash/hash_family — the exact components the simulator
-// and the protocol drive, so an embedding gets the simulated behaviour.
+// libanu implementation: the public Balancer facade over core/placement —
+// the placement functions the simulator and the protocol call, so an
+// embedding gets the simulated behaviour.
 #include "anu/anu.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "common/assert.h"
+#include "core/placement.h"
 #include "core/region_map.h"
 #include "core/tuner.h"
 #include "hash/hash_family.h"
@@ -70,47 +72,26 @@ void Balancer::record_latency(std::uint32_t server, double mean_latency,
 
 RetuneResult Balancer::retune() {
   Impl& impl = *impl_;
-  const std::size_t k = impl.up.size();
-  std::vector<core::TunerInput> inputs(k);
-  const auto before = impl.map.shares();
-  for (std::uint32_t s = 0; s < k; ++s) {
-    inputs[s].current_share = static_cast<double>(before[s].raw());
-    if (impl.up[s]) {
-      // Same policy as the wire protocol: an up server that reported
-      // nothing reads as idle and grows bounded, it never stalls a round.
-      inputs[s].report =
-          impl.reports[s].value_or(balance::ServerReport{0.0, 0});
-    }
-  }
-  const auto decision =
-      core::run_delegate_round(inputs, impl.tuner, nullptr, 0.0);
-  impl.map.rebalance(core::RegionMap::normalize_shares(decision.weights));
-  ++impl.version;
-  std::fill(impl.reports.begin(), impl.reports.end(), std::nullopt);
-
   RetuneResult result;
-  result.version = impl.version;
-  result.system_average = decision.system_average;
-  result.incompetent = decision.incompetent;
-  const auto after = impl.map.shares();
-  for (std::uint32_t s = 0; s < k; ++s) {
-    if (before[s].raw() != after[s].raw()) {
-      result.changed = true;
-      break;
-    }
+  result.version = ++impl.version;
+  // With every server down no delegate round can run; the map stays, so
+  // route() keeps answering from it.
+  if (std::find(impl.up.begin(), impl.up.end(), true) != impl.up.end()) {
+    const auto before = impl.map.shares();
+    const auto decision =
+        core::retune(impl.map, impl.reports, impl.up, impl.tuner);
+    result.system_average = decision.system_average;
+    result.incompetent = decision.incompetent;
+    result.changed = impl.map.shares() != before;
   }
+  std::fill(impl.reports.begin(), impl.reports.end(), std::nullopt);
   return result;
 }
 
 std::uint32_t Balancer::route(std::string_view key) const {
-  const Impl& impl = *impl_;
-  for (std::uint32_t r = 0; r < impl.config.max_probe_rounds; ++r) {
-    if (const auto owner = impl.map.owner_at(impl.family.unit_point(key, r))) {
-      return owner->value();
-    }
-  }
-  ANU_ENSURE(false && "lookup exhausted the hash family");
-  return 0;
+  return core::locate(impl_->family, impl_->map, key,
+                      impl_->config.max_probe_rounds)
+      .server.value();
 }
 
 std::uint64_t Balancer::version() const { return impl_->version; }

@@ -127,6 +127,7 @@ TEST(Tuner, StatelessSameInputSameOutput) {
   const auto a = run_delegate_round(in, TunerConfig{});
   const auto b = run_delegate_round(in, TunerConfig{});
   EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.system_average, b.system_average);
   EXPECT_EQ(a.incompetent, b.incompetent);
 }
 
