@@ -77,7 +77,7 @@ void BM_FifoServiceLoop(benchmark::State& state) {
     Simulation sim;
     FifoResource resource(sim, 5.0);
     for (std::size_t i = 0; i < jobs; ++i) {
-      resource.submit(Job{1.0, i, nullptr});
+      resource.submit(Job{1.0, i});
     }
     sim.run_to_completion();
     benchmark::DoNotOptimize(resource.jobs_completed());

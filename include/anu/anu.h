@@ -89,7 +89,9 @@ class Balancer {
 
   /// Runs one delegate round on the recorded reports, applies the new map,
   /// and clears the reports. An up server with no report reads as idle
-  /// (bounded growth), a down server's region is reclaimed. With every
+  /// (bounded growth), a down server's region is reclaimed. When no up
+  /// server holds a share (every server that held the interval is down),
+  /// each up server starts the round from an equal share. With every
   /// server down no round can run: the map is kept (route() keeps
   /// answering from it), the reports are cleared, the version still
   /// increments, and `changed` is false.

@@ -1,7 +1,6 @@
 #include "cluster/server.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/assert.h"
 
@@ -15,6 +14,16 @@ Server::Server(sim::Simulation& simulation, ServerId id, double speed,
       cache_(cache) {
   ANU_REQUIRE(cache_.cold_penalty_factor >= 1.0);
   ANU_REQUIRE(!cache_.enabled || cache_.warmup_requests > 0);
+  resource_.on_complete = [this](SimTime when, const sim::Job& done) {
+    const Completion c{id_, FileSetId(static_cast<std::uint32_t>(done.tag)),
+                       done.arrival, when, done.id};
+    interval_.add(c.latency());
+    if (on_complete) on_complete(c);
+  };
+  // The resource fires on_start only for cancellable jobs: replicas.
+  resource_.on_start = [this](SimTime, const sim::Job& started) {
+    if (on_start) on_start(started.id);
+  };
   resource_.on_flush = [this](const sim::Job& job) {
     if (on_flush) {
       on_flush(FileSetId(static_cast<std::uint32_t>(job.tag)), job.demand,
@@ -65,21 +74,7 @@ void Server::enqueue(FileSetId file_set, double demand, SimTime arrival,
   job.tag = file_set.value();
   job.id = job_id;
   job.arrival = arrival;
-  // Capturing only `this` keeps both callbacks inside std::function's
-  // inline buffer: enqueueing a job allocates nothing for them.
-  if (job_id != 0) {
-    job.on_start = [this](SimTime, const sim::Job& started) {
-      if (on_start) on_start(started.id);
-    };
-  }
-  job.on_complete = [this](SimTime when, const sim::Job& done) {
-    const Completion c{id_, FileSetId(static_cast<std::uint32_t>(done.tag)),
-                       done.arrival, when, done.id};
-    interval_.add(c.latency());
-    lifetime_.add(c.latency());
-    if (on_complete) on_complete(c);
-  };
-  resource_.submit(std::move(job));
+  resource_.submit(job);
 }
 
 std::vector<Server::QueuedRequest> Server::extract_queued(FileSetId file_set) {

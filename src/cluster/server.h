@@ -106,12 +106,8 @@ class Server {
   };
   IntervalReport take_interval_report();
 
-  /// Whole-run statistics (paper Fig. 6(b): per-server average latency).
-  [[nodiscard]] const RunningStats& lifetime_latency() const {
-    return lifetime_;
-  }
   [[nodiscard]] std::uint64_t requests_served() const {
-    return lifetime_.count();
+    return resource_.jobs_completed();
   }
   [[nodiscard]] double utilization(SimTime horizon) const {
     return resource_.utilization(horizon);
@@ -166,7 +162,6 @@ class Server {
   CacheConfig cache_;
   std::unordered_map<std::uint32_t, std::uint32_t> cache_hits_;
   RunningStats interval_;
-  RunningStats lifetime_;
 };
 
 }  // namespace anu::cluster

@@ -133,31 +133,36 @@ double LogHistogram::quantile(double q) const {
                                        per_decade_);
 }
 
-void TimeSeries::add(double time, double value) {
-  ANU_REQUIRE(points_.empty() || time >= points_.back().time);
-  points_.push_back({time, value});
+TimeSeries::TimeSeries(double window, double horizon) : window_(window) {
+  ANU_REQUIRE(window > 0.0);
+  windows_.resize(static_cast<std::size_t>(std::ceil(horizon / window)));
 }
 
-std::vector<TimeSeries::Point> TimeSeries::windowed_mean(
-    double window, double horizon) const {
-  ANU_REQUIRE(window > 0.0);
+void TimeSeries::add(double time, double value) {
+  ANU_REQUIRE(time >= last_time_);
+  last_time_ = time;
+  // Advance with the comparison a per-window scan makes: a bare
+  // floor(time / window) can pick a neighbouring window at a boundary.
+  while (current_ < windows_.size() &&
+         time >= window_ * static_cast<double>(current_ + 1)) {
+    ++current_;
+  }
+  if (current_ == windows_.size()) return;  // past the last window
+  Window& w = windows_[current_];
+  w.sum += value;
+  ++w.count;
+}
+
+std::vector<TimeSeries::Point> TimeSeries::windowed_mean() const {
   std::vector<Point> out;
-  const auto windows = static_cast<std::size_t>(std::ceil(horizon / window));
-  out.reserve(windows);
-  std::size_t i = 0;
+  out.reserve(windows_.size());
   double carry = 0.0;  // previous window's mean, for empty windows
-  for (std::size_t w = 0; w < windows; ++w) {
-    const double end = window * static_cast<double>(w + 1);
-    double sum = 0.0;
-    std::size_t n = 0;
-    while (i < points_.size() && points_[i].time < end) {
-      sum += points_[i].value;
-      ++n;
-      ++i;
-    }
-    const double mean = n ? sum / static_cast<double>(n) : carry;
+  for (std::size_t w = 0; w < windows_.size(); ++w) {
+    const Window& win = windows_[w];
+    const double mean =
+        win.count ? win.sum / static_cast<double>(win.count) : carry;
     carry = mean;
-    out.push_back({end, mean});
+    out.push_back({window_ * static_cast<double>(w + 1), mean});
   }
   return out;
 }

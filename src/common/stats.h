@@ -88,8 +88,11 @@ class LogHistogram {
   std::size_t total_ = 0;
 };
 
-/// (time, value) series with windowed-mean reduction — the building block
-/// for the latency-over-time curves in Figs. 4 and 5.
+/// Windowed-mean latency series — the building block for the
+/// latency-over-time curves in Figs. 4 and 5. Samples stream into
+/// consecutive windows of `window` time units covering [0, horizon); only
+/// one {sum, count} per window is kept, so memory is O(windows), not
+/// O(samples).
 class TimeSeries {
  public:
   struct Point {
@@ -97,19 +100,29 @@ class TimeSeries {
     double value;
   };
 
-  void add(double time, double value);
-  [[nodiscard]] std::size_t size() const { return points_.size(); }
-  [[nodiscard]] const std::vector<Point>& points() const { return points_; }
+  TimeSeries(double window, double horizon);
 
-  /// Means of values falling in consecutive windows of `window` time units
-  /// covering [0, horizon). Windows with no samples repeat NaN-free: they
-  /// carry the previous window's mean (or 0 before any sample), matching how
-  /// an idle server's latency curve is drawn flat in the paper's figures.
-  [[nodiscard]] std::vector<Point> windowed_mean(double window,
-                                                 double horizon) const;
+  /// Adds a sample to the first window w with time < window * (w + 1).
+  /// Samples at or past the last window's end are dropped. Times must be
+  /// non-decreasing.
+  void add(double time, double value);
+
+  /// One point per window: its end time and the mean of its samples.
+  /// Windows with no samples repeat NaN-free: they carry the previous
+  /// window's mean (or 0 before any sample), matching how an idle server's
+  /// latency curve is drawn flat in the paper's figures.
+  [[nodiscard]] std::vector<Point> windowed_mean() const;
 
  private:
-  std::vector<Point> points_;  // in non-decreasing time order (enforced)
+  struct Window {
+    double sum = 0.0;
+    std::size_t count = 0;
+  };
+
+  double window_;
+  std::vector<Window> windows_;
+  std::size_t current_ = 0;  // window of the latest sample
+  double last_time_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace anu

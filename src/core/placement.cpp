@@ -42,10 +42,24 @@ TunerDecision retune(
   ANU_REQUIRE(reports.size() == k && up.size() == k);
   std::vector<TunerInput> inputs(k);
   const auto shares = map.shares();
+  std::size_t up_count = 0;
+  bool up_holds_share = false;
   for (std::size_t s = 0; s < k; ++s) {
     inputs[s].current_share = static_cast<double>(shares[s].raw());
     if (up[s]) {
       inputs[s].report = reports[s].value_or(balance::ServerReport{0.0, 0});
+      ++up_count;
+      up_holds_share = up_holds_share || shares[s].raw() > 0;
+    }
+  }
+  // Every up server holds an empty region (the servers that held the
+  // interval all went down): each up server starts from an equal share.
+  if (!up_holds_share) {
+    for (std::size_t s = 0; s < k; ++s) {
+      if (up[s]) {
+        inputs[s].current_share = static_cast<double>(RegionMap::kHalfRaw) /
+                                  static_cast<double>(up_count);
+      }
     }
   }
   TunerDecision decision = run_delegate_round(inputs, config, trace, now);

@@ -51,13 +51,15 @@ std::size_t probe_distinct(const HashFamily& family, const RegionMap& map,
 
 /// One delegate round: feeds run_delegate_round every server's current
 /// share of `map` and its report, then rebalances `map` to the decision.
-/// `reports` and `up` are indexed by server id; at least one up server must
-/// hold a share.
+/// `reports` and `up` are indexed by server id; at least one server must be
+/// up.
 ///
 /// The idle-server policy: an up server with no report reads as idle,
 /// {0.0, 0}, and grows by a bounded step, so a lost or missing report never
 /// stalls a round. A down server gets no report, even if one was filed, and
-/// its region is reclaimed.
+/// its region is reclaimed. When no up server holds a share (every server
+/// that held the interval is down), each up server starts the round from an
+/// equal share.
 ///
 /// `trace`/`now` are forwarded to run_delegate_round's delegate_round
 /// event; tracing never alters the decision.

@@ -52,7 +52,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   obs::TraceSink* const trace = config.trace;
   sim.set_trace(trace);
   cluster::Cluster cluster(sim, config.cluster);
-  metrics::LatencyTracker latency(cluster.server_count());
+  metrics::LatencyTracker latency(cluster.server_count(),
+                                  config.series_window, horizon);
 
   std::vector<double> weights;
   weights.reserve(workload.file_set_count());
@@ -506,8 +507,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     result.per_server.push_back(latency.server_stats(id));
     result.served.push_back(latency.served(id));
     result.latency_over_time.push_back(
-        latency.server_series(id).windowed_mean(config.series_window,
-                                                horizon));
+        latency.server_series(id).windowed_mean());
     result.utilization.push_back(cluster.server(id).utilization(horizon));
   }
   result.shares_over_time = std::move(share_samples);

@@ -22,7 +22,7 @@ ExperimentResult run_protocol_experiment(
   sim::SimClock clock(sim);
   proto::Network network(clock, config.network, servers);
   if (config.faults != nullptr) network.set_fault_plan(config.faults);
-  metrics::LatencyTracker latency(servers);
+  metrics::LatencyTracker latency(servers, config.series_window, horizon);
 
   std::vector<double> weights;
   weights.reserve(workload.file_set_count());
@@ -172,8 +172,7 @@ ExperimentResult run_protocol_experiment(
     result.per_server.push_back(latency.server_stats(id));
     result.served.push_back(latency.served(id));
     result.latency_over_time.push_back(
-        latency.server_series(id).windowed_mean(config.series_window,
-                                                horizon));
+        latency.server_series(id).windowed_mean());
     result.utilization.push_back(cluster.server(id).utilization(horizon));
   }
   result.movement = movement.rounds();

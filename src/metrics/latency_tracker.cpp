@@ -4,8 +4,12 @@
 
 namespace anu::metrics {
 
-LatencyTracker::LatencyTracker(std::size_t server_count)
-    : per_server_(server_count), series_(server_count) {}
+LatencyTracker::LatencyTracker(std::size_t server_count, SimTime window,
+                               SimTime horizon)
+    : window_(window),
+      horizon_(horizon),
+      per_server_(server_count),
+      series_(server_count, TimeSeries(window, horizon)) {}
 
 void LatencyTracker::observe(const cluster::Completion& completion) {
   ANU_REQUIRE(completion.server.value() < per_server_.size());
@@ -17,7 +21,7 @@ void LatencyTracker::observe(const cluster::Completion& completion) {
 
 void LatencyTracker::add_server() {
   per_server_.emplace_back();
-  series_.emplace_back();
+  series_.emplace_back(window_, horizon_);
 }
 
 const RunningStats& LatencyTracker::server_stats(ServerId id) const {

@@ -3,7 +3,8 @@
 // Figures 4 and 5 plot each server's latency over time; Figure 6(a) reports
 // the aggregate mean and standard deviation over *all requests*; Figure 6(b)
 // the per-server means. One tracker instance observes every completion of a
-// run and can answer all three.
+// run and can answer all three in O(servers x windows) memory: no
+// completion is kept.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,9 @@ namespace anu::metrics {
 
 class LatencyTracker {
  public:
-  explicit LatencyTracker(std::size_t server_count);
+  /// Each server's series averages completions over windows of `window`
+  /// seconds covering [0, horizon).
+  LatencyTracker(std::size_t server_count, SimTime window, SimTime horizon);
 
   void observe(const cluster::Completion& completion);
   /// Extends the trackers when a server is commissioned mid-run.
@@ -29,7 +32,7 @@ class LatencyTracker {
   [[nodiscard]] const RunningStats& aggregate() const { return aggregate_; }
   /// One server, whole run (Fig. 6(b)).
   [[nodiscard]] const RunningStats& server_stats(ServerId id) const;
-  /// One server's (completion time, latency) series (Figs. 4/5).
+  /// One server's latency by completion-time window (Figs. 4/5).
   [[nodiscard]] const TimeSeries& server_series(ServerId id) const;
   /// Requests served per server (the §5.2.2 "server 0 served only 248
   /// requests (0.37%)" analysis).
@@ -39,6 +42,8 @@ class LatencyTracker {
   }
 
  private:
+  SimTime window_;
+  SimTime horizon_;
   RunningStats aggregate_;
   std::vector<RunningStats> per_server_;
   std::vector<TimeSeries> series_;

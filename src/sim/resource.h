@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -19,15 +19,14 @@
 
 namespace anu::sim {
 
-/// A job submitted to a FifoResource.
+/// A job submitted to a FifoResource: plain data. What happens when it
+/// starts or completes is the resource's observers' business, so queueing a
+/// job copies 32 bytes and allocates nothing.
 struct Job {
   /// Seconds of work at speed 1.0.
   double demand = 0.0;
   /// Opaque tag the submitter uses to identify the job in callbacks.
   std::uint64_t tag = 0;
-  /// Called at completion with (completion_time, job). Not called for jobs
-  /// flushed by fail() or removed by cancel().
-  std::function<void(SimTime, const Job&)> on_complete;
   /// Arrival time. Left negative, the resource stamps it at submit(); a
   /// non-negative value is preserved — used when a queued request migrates
   /// between servers and must keep its original arrival for latency
@@ -38,10 +37,8 @@ struct Job {
   /// is still waiting or already in service. Redundant-dispatch replicas
   /// (docs/strategies.md) are the motivating user.
   std::uint64_t id = 0;
-  /// Called when service begins (possibly synchronously inside submit()
-  /// when the resource is idle). Must not cancel the job it fires for.
-  std::function<void(SimTime, const Job&)> on_start = nullptr;
 };
+static_assert(std::is_trivially_copyable_v<Job> && sizeof(Job) == 32);
 
 /// What cancel() found (and removed).
 enum class CancelOutcome {
@@ -91,7 +88,7 @@ class FifoResource {
   [[nodiscard]] bool is_up() const { return up_; }
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::size_t queue_length() const {
-    return queue_.size() + (busy_ ? 1 : 0);
+    return queue_.size() - head_ + (busy_ ? 1 : 0);
   }
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -107,6 +104,18 @@ class FifoResource {
     return horizon > 0.0 ? busy_time() / horizon : 0.0;
   }
 
+  /// Invoked at each completion with (completion_time, job). Not invoked
+  /// for jobs flushed by fail() or removed by cancel(). At a completion
+  /// the next waiting job starts first (its on_start fires), then
+  /// on_complete runs for the finished job, then on_idle if the queue
+  /// drained. May submit().
+  std::function<void(SimTime, const Job&)> on_complete;
+
+  /// Invoked when service of a cancellable job (nonzero id) begins —
+  /// possibly synchronously inside submit() when the resource is idle.
+  /// Must not cancel the job it fires for.
+  std::function<void(SimTime, const Job&)> on_start;
+
   /// Invoked for each job flushed by fail().
   std::function<void(const Job&)> on_flush;
 
@@ -119,13 +128,19 @@ class FifoResource {
 
  private:
   void start_next();
+  /// Empties queue_ once every job in it is consumed, and drops the
+  /// consumed prefix once it outgrows the waiting jobs, so the vector's
+  /// storage is reused instead of growing.
+  void compact();
 
   Simulation& sim_;
   double speed_;
   std::string name_;
   bool up_ = true;
   bool busy_ = false;
-  std::deque<Job> queue_;
+  // Waiting jobs are queue_[head_..]; starting one advances head_.
+  std::vector<Job> queue_;
+  std::size_t head_ = 0;
   Job in_flight_;
   SimTime service_start_ = 0.0;
   EventHandle completion_event_;

@@ -4,8 +4,9 @@
 // forwards to std::malloc/std::free, so ASan and TSan still see every
 // block. Counting is on only inside run_experiment: workload generation and
 // balancer construction are not charged. The event slab, the replica group
-// table and the per-job callbacks all reuse storage; what remains per
-// request is the FIFO queues' deque blocks and per-round tuning results.
+// table, the FIFO queues and the latency windows all reuse storage, and a
+// queued job is plain data; what remains is growth to a new high-water mark
+// and per-round tuning results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -113,7 +114,7 @@ double allocations_per_request(const SystemConfig& system) {
 TEST(Allocation, AnuRunAllocatesLessThanOncePerRequest) {
   SystemConfig system;
   system.kind = SystemKind::kAnu;
-  EXPECT_LT(allocations_per_request(system), 1.0);
+  EXPECT_LT(allocations_per_request(system), 0.05);
 }
 
 TEST(Allocation, RedundancyCancelOnCompleteAllocatesLessThanOncePerRequest) {
@@ -121,7 +122,7 @@ TEST(Allocation, RedundancyCancelOnCompleteAllocatesLessThanOncePerRequest) {
   system.kind = SystemKind::kRedundancyD;
   system.red.d = 2;
   system.red.cancel = balance::RedundancyDConfig::CancelMode::kOnComplete;
-  EXPECT_LT(allocations_per_request(system), 1.0);
+  EXPECT_LT(allocations_per_request(system), 0.02);
 }
 
 TEST(Allocation, RedundancyCancelOnStartAllocatesLessThanOncePerRequest) {
@@ -129,7 +130,7 @@ TEST(Allocation, RedundancyCancelOnStartAllocatesLessThanOncePerRequest) {
   system.kind = SystemKind::kRedundancyD;
   system.red.d = 3;
   system.red.cancel = balance::RedundancyDConfig::CancelMode::kOnStart;
-  EXPECT_LT(allocations_per_request(system), 1.0);
+  EXPECT_LT(allocations_per_request(system), 0.02);
 }
 
 }  // namespace

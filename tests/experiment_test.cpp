@@ -6,6 +6,7 @@
 
 #include "driver/balancer_factory.h"
 #include "driver/experiment.h"
+#include "series_hash.h"
 #include "workload/synthetic.h"
 
 namespace anu::driver {
@@ -412,6 +413,17 @@ TEST(ExperimentGolden, AnuSingleChoiceThroughMembershipChurn) {
   EXPECT_EQ(r.shared_state_bytes, 200u);
   EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 1.1885022274370178);
   EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 84.139514164519568);
+  // Every server's latency over time, the added server included. Captured
+  // at commit 69e81d210bd7, which kept every completion and reduced the
+  // windows at the end of the run.
+  ASSERT_EQ(r.latency_over_time.size(), 6u);
+  const auto& server0 = r.latency_over_time[0];
+  ASSERT_EQ(server0.size(), 8u);
+  EXPECT_DOUBLE_EQ(server0.front().time, 300.0);
+  EXPECT_DOUBLE_EQ(server0.front().value, 35.558553785909481);
+  EXPECT_DOUBLE_EQ(server0.back().time, 2400.0);
+  EXPECT_DOUBLE_EQ(server0.back().value, 11.289118755724349);
+  EXPECT_EQ(series_hash(r.latency_over_time), 0x15b0f79525c3a549ULL);
 }
 
 TEST(ExperimentGolden, AnuTwoChoicesThroughMembershipChurn) {

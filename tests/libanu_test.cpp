@@ -244,4 +244,21 @@ TEST(Libanu, AllServersDownKeepsTheMap) {
   EXPECT_NEAR(sum(balancer.shares()), 0.5, 1e-9);
 }
 
+TEST(Libanu, UpServersWithEmptyRegionsRestartFromEqualShares) {
+  anu::Balancer balancer(2);
+  balancer.set_server_up(1, false);
+  balancer.retune();
+  ASSERT_EQ(balancer.shares(), (std::vector<double>{0.5, 0.0}));
+
+  // The server holding the interval goes down as the empty one returns.
+  balancer.set_server_up(0, false);
+  balancer.set_server_up(1, true);
+  const auto result = balancer.retune();
+  EXPECT_TRUE(result.changed);
+  EXPECT_EQ(balancer.shares(), (std::vector<double>{0.0, 0.5}));
+  for (std::size_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(balancer.route("k/" + std::to_string(i)), 1u);
+  }
+}
+
 }  // namespace

@@ -13,7 +13,7 @@ cluster::Completion completion(std::uint32_t server, double arrival,
 }
 
 TEST(LatencyTracker, AggregatesAcrossServers) {
-  LatencyTracker tracker(2);
+  LatencyTracker tracker(2, 300.0, 3600.0);
   tracker.observe(completion(0, 0.0, 1.0));  // latency 1
   tracker.observe(completion(1, 0.0, 3.0));  // latency 3
   EXPECT_EQ(tracker.total_served(), 2u);
@@ -24,17 +24,18 @@ TEST(LatencyTracker, AggregatesAcrossServers) {
 }
 
 TEST(LatencyTracker, SeriesRecordsCompletionTimes) {
-  LatencyTracker tracker(1);
+  // Two-second windows over [0, 4): the completion time picks the window.
+  LatencyTracker tracker(1, 2.0, 4.0);
   tracker.observe(completion(0, 0.0, 1.0));
-  tracker.observe(completion(0, 1.0, 4.0));
-  const auto& series = tracker.server_series(ServerId(0));
+  tracker.observe(completion(0, 0.5, 3.5));
+  const auto series = tracker.server_series(ServerId(0)).windowed_mean();
   ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series.points()[1].time, 4.0);
-  EXPECT_DOUBLE_EQ(series.points()[1].value, 3.0);
+  EXPECT_DOUBLE_EQ(series[1].time, 4.0);
+  EXPECT_DOUBLE_EQ(series[1].value, 3.0);
 }
 
 TEST(LatencyTracker, AddServerExtends) {
-  LatencyTracker tracker(1);
+  LatencyTracker tracker(1, 300.0, 3600.0);
   tracker.add_server();
   tracker.observe(completion(1, 0.0, 2.0));
   EXPECT_EQ(tracker.served(ServerId(1)), 1u);

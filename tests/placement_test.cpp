@@ -14,6 +14,7 @@
 #include "anu/anu.h"
 #include "common/rng.h"
 #include "core/anu_balancer.h"
+#include "core/placement.h"
 #include "core/tuner.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
@@ -144,6 +145,28 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{16}),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3})));
+
+TEST(Retune, UpServersWithEmptyRegionsStartFromEqualShares) {
+  // Servers 0 and 1 hold the whole interval, then go down while servers 2
+  // and 3, with empty regions, are up: no up server holds a share.
+  core::RegionMap map(4);
+  const core::TunerConfig config;
+  const RoundReports none(4);
+  core::retune(map, none, {true, true, false, false}, config);
+  ASSERT_EQ(map.share(ServerId(2)).raw(), 0u);
+  ASSERT_EQ(map.share(ServerId(3)).raw(), 0u);
+
+  // Server 2 reports, server 3 does not: both are idle, so both grow by
+  // the same step from the same start.
+  RoundReports reports(4);
+  reports[2] = balance::ServerReport{0.5, 0};
+  core::retune(map, reports, {false, false, true, true}, config);
+  map.check_invariants();
+  EXPECT_EQ(map.share(ServerId(0)).raw(), 0u);
+  EXPECT_EQ(map.share(ServerId(1)).raw(), 0u);
+  EXPECT_EQ(map.share(ServerId(2)).raw(), core::RegionMap::kHalfRaw / 2);
+  EXPECT_EQ(map.share(ServerId(3)).raw(), core::RegionMap::kHalfRaw / 2);
+}
 
 TEST(DelegateFailover, NewDelegateComputesIdenticalConfiguration) {
   // §4: "If the delegate fails, the next elected delegate runs the same

@@ -6,6 +6,7 @@
 
 #include "driver/balancer_factory.h"
 #include "faults/fault_plan.h"
+#include "series_hash.h"
 #include "workload/synthetic.h"
 
 namespace anu::driver {
@@ -154,6 +155,16 @@ TEST(ProtocolExperiment, GoldenRunMatchesPerNameRouting) {
   EXPECT_EQ(cp.retries_abandoned, 0u);
   EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.5), 0.66834391756861433);
   EXPECT_DOUBLE_EQ(r.latency_histogram.quantile(0.99), 74.989420933245512);
+  // Latency over time, captured at commit 69e81d210bd7, which kept every
+  // completion and reduced the windows at the end of the run.
+  ASSERT_EQ(r.latency_over_time.size(), 16u);
+  const auto& server0 = r.latency_over_time[0];
+  ASSERT_EQ(server0.size(), 10u);
+  EXPECT_DOUBLE_EQ(server0.front().time, 300.0);
+  EXPECT_DOUBLE_EQ(server0.front().value, 68.987125660301402);
+  EXPECT_DOUBLE_EQ(server0.back().time, 3000.0);
+  EXPECT_DOUBLE_EQ(server0.back().value, 2.8753930036292559);
+  EXPECT_EQ(series_hash(r.latency_over_time), 0xa7275b0ecee48af4ULL);
 }
 
 // Literals captured by running this test body at commit b86912d501a6,

@@ -192,7 +192,8 @@ TEST(FifoResource, SingleJobLatencyIsDemandOverSpeed) {
   Simulation sim;
   FifoResource res(sim, 4.0);
   double completed_at = -1.0;
-  res.submit(Job{8.0, 0, [&](SimTime t, const Job&) { completed_at = t; }});
+  res.on_complete = [&](SimTime t, const Job&) { completed_at = t; };
+  res.submit(Job{8.0, 0});
   sim.run_to_completion();
   EXPECT_DOUBLE_EQ(completed_at, 2.0);  // 8 units / speed 4
   EXPECT_EQ(res.jobs_completed(), 1u);
@@ -202,11 +203,8 @@ TEST(FifoResource, JobsQueueFifo) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   std::vector<std::uint64_t> done;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    res.submit(Job{1.0, i, [&](SimTime, const Job& j) {
-                     done.push_back(j.tag);
-                   }});
-  }
+  res.on_complete = [&](SimTime, const Job& j) { done.push_back(j.tag); };
+  for (std::uint64_t i = 0; i < 3; ++i) res.submit(Job{1.0, i});
   sim.run_to_completion();
   EXPECT_EQ(done, (std::vector<std::uint64_t>{0, 1, 2}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
@@ -216,11 +214,10 @@ TEST(FifoResource, QueueingLatencyAccumulates) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   std::vector<double> latencies;
-  for (int i = 0; i < 3; ++i) {
-    res.submit(Job{2.0, 0, [&](SimTime t, const Job& j) {
-                     latencies.push_back(t - j.arrival);
-                   }});
-  }
+  res.on_complete = [&](SimTime t, const Job& j) {
+    latencies.push_back(t - j.arrival);
+  };
+  for (int i = 0; i < 3; ++i) res.submit(Job{2.0, 0});
   sim.run_to_completion();
   ASSERT_EQ(latencies.size(), 3u);
   EXPECT_DOUBLE_EQ(latencies[0], 2.0);
@@ -234,8 +231,10 @@ TEST(FifoResource, HeterogeneousSpeedMatchesPaperModel) {
   FifoResource slow(sim, 1.0);
   FifoResource fast(sim, 9.0);
   double slow_done = 0.0, fast_done = 0.0;
-  slow.submit(Job{9.0, 0, [&](SimTime t, const Job&) { slow_done = t; }});
-  fast.submit(Job{9.0, 0, [&](SimTime t, const Job&) { fast_done = t; }});
+  slow.on_complete = [&](SimTime t, const Job&) { slow_done = t; };
+  fast.on_complete = [&](SimTime t, const Job&) { fast_done = t; };
+  slow.submit(Job{9.0, 0});
+  fast.submit(Job{9.0, 0});
   sim.run_to_completion();
   EXPECT_DOUBLE_EQ(slow_done, 9.0);
   EXPECT_DOUBLE_EQ(fast_done, 1.0);
@@ -245,8 +244,9 @@ TEST(FifoResource, SpeedChangeAppliesToNextService) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   std::vector<double> completions;
-  res.submit(Job{1.0, 0, [&](SimTime t, const Job&) { completions.push_back(t); }});
-  res.submit(Job{1.0, 0, [&](SimTime t, const Job&) { completions.push_back(t); }});
+  res.on_complete = [&](SimTime t, const Job&) { completions.push_back(t); };
+  res.submit(Job{1.0, 0});
+  res.submit(Job{1.0, 0});
   sim.schedule_at(0.5, [&] { res.set_speed(2.0); });
   sim.run_to_completion();
   ASSERT_EQ(completions.size(), 2u);
@@ -260,9 +260,8 @@ TEST(FifoResource, FailFlushesQueueAndInflight) {
   int completed = 0;
   std::vector<std::uint64_t> flushed;
   res.on_flush = [&](const Job& j) { flushed.push_back(j.tag); };
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    res.submit(Job{10.0, i, [&](SimTime, const Job&) { ++completed; }});
-  }
+  res.on_complete = [&](SimTime, const Job&) { ++completed; };
+  for (std::uint64_t i = 0; i < 3; ++i) res.submit(Job{10.0, i});
   sim.schedule_at(1.0, [&] { res.fail(); });
   sim.run_to_completion();
   EXPECT_EQ(completed, 0);
@@ -273,11 +272,11 @@ TEST(FifoResource, FailFlushesQueueAndInflight) {
 TEST(FifoResource, RecoverAfterFail) {
   Simulation sim;
   FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 0, nullptr});
+  res.submit(Job{10.0, 0});
   sim.schedule_at(1.0, [&] {
     res.fail();
     res.recover();
-    res.submit(Job{1.0, 1, nullptr});
+    res.submit(Job{1.0, 1});
   });
   sim.run_to_completion();
   EXPECT_TRUE(res.is_up());
@@ -287,7 +286,7 @@ TEST(FifoResource, RecoverAfterFail) {
 TEST(FifoResource, UtilizationTracksBusyTime) {
   Simulation sim;
   FifoResource res(sim, 2.0);
-  res.submit(Job{8.0, 0, nullptr});  // 4 seconds of service
+  res.submit(Job{8.0, 0});  // 4 seconds of service
   sim.run_until(10.0);
   EXPECT_DOUBLE_EQ(res.busy_time(), 4.0);
   EXPECT_DOUBLE_EQ(res.utilization(10.0), 0.4);
@@ -297,11 +296,10 @@ TEST(FifoResource, CompletionCanResubmit) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   int completions = 0;
-  std::function<void(SimTime, const Job&)> again =
-      [&](SimTime, const Job&) {
-        if (++completions < 3) res.submit(Job{1.0, 0, again});
-      };
-  res.submit(Job{1.0, 0, again});
+  res.on_complete = [&](SimTime, const Job&) {
+    if (++completions < 3) res.submit(Job{1.0, 0});
+  };
+  res.submit(Job{1.0, 0});
   sim.run_to_completion();
   EXPECT_EQ(completions, 3);
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
@@ -386,9 +384,9 @@ TEST(Simulation, DeterministicUnderHeavyInterleaving) {
 TEST(FifoResource, ExtractQueuedLeavesInFlight) {
   Simulation sim;
   FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 7, nullptr});  // starts service immediately
-  res.submit(Job{1.0, 7, nullptr});
-  res.submit(Job{1.0, 8, nullptr});
+  res.submit(Job{10.0, 7});  // starts service immediately
+  res.submit(Job{1.0, 7});
+  res.submit(Job{1.0, 8});
   const auto taken =
       res.extract_queued([](const Job& j) { return j.tag == 7; });
   ASSERT_EQ(taken.size(), 1u);  // only the queued tag-7 job, not in-flight
@@ -398,8 +396,8 @@ TEST(FifoResource, ExtractQueuedLeavesInFlight) {
 TEST(FifoResource, ExtractQueuedPreservesArrivalTimes) {
   Simulation sim;
   FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 0, nullptr});
-  sim.schedule_at(2.5, [&] { res.submit(Job{1.0, 1, nullptr}); });
+  res.submit(Job{10.0, 0});
+  sim.schedule_at(2.5, [&] { res.submit(Job{1.0, 1}); });
   sim.run_until(3.0);
   const auto taken =
       res.extract_queued([](const Job& j) { return j.tag == 1; });
@@ -411,19 +409,53 @@ TEST(FifoResource, PresetArrivalPreserved) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   double latency = 0.0;
+  res.on_complete = [&](SimTime t, const Job& j) { latency = t - j.arrival; };
   sim.schedule_at(5.0, [&] {
-    Job job{1.0, 0, [&](SimTime t, const Job& j) { latency = t - j.arrival; }};
+    Job job{1.0, 0};
     job.arrival = 2.0;  // migrated job keeps its original arrival
-    res.submit(std::move(job));
+    res.submit(job);
   });
   sim.run_to_completion();
   EXPECT_DOUBLE_EQ(latency, 4.0);  // waited 3 (elsewhere) + 1 service
 }
 
+TEST(FifoResource, LongQueueKeepsFifoOrderThroughCancelAndExtract) {
+  // Enough waiting jobs that the queue drops its consumed prefix while
+  // jobs still wait, with cancels and a migration in between.
+  Simulation sim;
+  FifoResource res(sim, 1.0);
+  std::vector<std::uint64_t> done;
+  res.on_complete = [&](SimTime, const Job& j) { done.push_back(j.tag); };
+  for (std::uint64_t tag = 0; tag < 64; ++tag) {
+    Job job{1.0, tag};
+    job.id = tag + 1;
+    res.submit(job);
+  }
+  sim.run_until(20.5);  // tags 0..19 done, 20 in service
+  for (std::uint64_t tag = 30; tag < 40; ++tag) {
+    EXPECT_EQ(res.cancel(tag + 1), CancelOutcome::kQueued);
+  }
+  const auto moved =
+      res.extract_queued([](const Job& j) { return j.tag % 7 == 0; });
+  for (const Job& job : moved) res.submit(job);  // back at the tail
+  EXPECT_EQ(res.queue_length(), 44u - 10u);
+  sim.run_to_completion();
+
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t tag = 0; tag < 64; ++tag) {
+    const bool waiting = tag > 20;
+    const bool cancelled = tag >= 30 && tag < 40;
+    if (!cancelled && !(waiting && tag % 7 == 0)) expected.push_back(tag);
+  }
+  expected.insert(expected.end(), {21, 28, 42, 49, 56, 63});
+  EXPECT_EQ(done, expected);
+  EXPECT_EQ(res.jobs_completed(), 54u);
+}
+
 TEST(FifoResource, BusyTimePartialAtObservation) {
   Simulation sim;
   FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 0, nullptr});
+  res.submit(Job{10.0, 0});
   sim.run_until(4.0);
   EXPECT_DOUBLE_EQ(res.busy_time(), 4.0);  // only service actually rendered
   EXPECT_DOUBLE_EQ(res.utilization(4.0), 1.0);
@@ -432,7 +464,7 @@ TEST(FifoResource, BusyTimePartialAtObservation) {
 TEST(FifoResource, FailAccountsPartialService) {
   Simulation sim;
   FifoResource res(sim, 2.0);
-  res.submit(Job{10.0, 0, nullptr});  // 5s service at speed 2
+  res.submit(Job{10.0, 0});  // 5s service at speed 2
   sim.schedule_at(2.0, [&] { res.fail(); });
   sim.run_until(8.0);
   EXPECT_DOUBLE_EQ(res.busy_time(), 2.0);
@@ -444,10 +476,11 @@ TEST(FifoResource, CancelQueuedRemovesSilently) {
   int completions = 0;
   int flushes = 0;
   res.on_flush = [&](const Job&) { ++flushes; };
-  res.submit(Job{4.0, 0, [&](SimTime, const Job&) { ++completions; }});
-  Job waiting{4.0, 1, [&](SimTime, const Job&) { ++completions; }};
+  res.on_complete = [&](SimTime, const Job&) { ++completions; };
+  res.submit(Job{4.0, 0});
+  Job waiting{4.0, 1};
   waiting.id = 7;
-  res.submit(std::move(waiting));
+  res.submit(waiting);
   EXPECT_EQ(res.queue_length(), 2u);
 
   EXPECT_EQ(res.cancel(7), CancelOutcome::kQueued);
@@ -464,10 +497,11 @@ TEST(FifoResource, CancelInServiceAbortsAndStartsNext) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   std::vector<std::uint64_t> done;
-  Job first{10.0, 1, [&](SimTime, const Job& j) { done.push_back(j.tag); }};
+  res.on_complete = [&](SimTime, const Job& j) { done.push_back(j.tag); };
+  Job first{10.0, 1};
   first.id = 1;
-  res.submit(std::move(first));
-  res.submit(Job{2.0, 2, [&](SimTime, const Job& j) { done.push_back(j.tag); }});
+  res.submit(first);
+  res.submit(Job{2.0, 2});
 
   sim.schedule_at(3.0, [&] {
     EXPECT_EQ(res.cancel(1), CancelOutcome::kInService);
@@ -486,9 +520,9 @@ TEST(FifoResource, CancelUnknownIdIsNotFound) {
   Simulation sim;
   FifoResource res(sim, 1.0);
   EXPECT_EQ(res.cancel(42), CancelOutcome::kNotFound);
-  Job j{1.0, 0, nullptr};
+  Job j{1.0, 0};
   j.id = 5;
-  res.submit(std::move(j));
+  res.submit(j);
   EXPECT_EQ(res.cancel(6), CancelOutcome::kNotFound);
   EXPECT_EQ(res.cancel(5), CancelOutcome::kInService);
 }
@@ -497,13 +531,14 @@ TEST(FifoResource, OnStartFiresSynchronouslyWhenIdle) {
   Simulation sim;
   FifoResource res(sim, 2.0);
   bool started = false;
-  Job j{4.0, 0, nullptr};
-  j.on_start = [&](SimTime t, const Job& job) {
+  res.on_start = [&](SimTime t, const Job& job) {
     started = true;
     EXPECT_DOUBLE_EQ(t, 0.0);
     EXPECT_EQ(job.demand, 4.0);
   };
-  res.submit(std::move(j));
+  Job j{4.0, 0};
+  j.id = 1;  // on_start fires only for cancellable jobs
+  res.submit(j);
   // The resource was idle: service began inside submit() itself.
   EXPECT_TRUE(started);
 }
@@ -511,11 +546,12 @@ TEST(FifoResource, OnStartFiresSynchronouslyWhenIdle) {
 TEST(FifoResource, OnStartFiresAtServiceStartWhenQueued) {
   Simulation sim;
   FifoResource res(sim, 1.0);
-  res.submit(Job{3.0, 0, nullptr});
   SimTime started_at = -1.0;
-  Job j{1.0, 1, nullptr};
-  j.on_start = [&](SimTime t, const Job&) { started_at = t; };
-  res.submit(std::move(j));
+  res.on_start = [&](SimTime t, const Job&) { started_at = t; };
+  res.submit(Job{3.0, 0});
+  Job j{1.0, 1};
+  j.id = 1;  // on_start fires only for cancellable jobs
+  res.submit(j);
   EXPECT_DOUBLE_EQ(started_at, -1.0);  // still waiting
   sim.run_to_completion();
   EXPECT_DOUBLE_EQ(started_at, 3.0);  // when the first job finished
@@ -528,17 +564,17 @@ TEST(FifoResource, OnIdleFiresOnDrainNotOnFailure) {
   res.on_idle = [&] { ++idles; };
   EXPECT_EQ(idles, 0);  // initial idle state does not count
 
-  res.submit(Job{2.0, 0, nullptr});
+  res.submit(Job{2.0, 0});
   sim.run_to_completion();
   EXPECT_EQ(idles, 1);  // completion drained the queue
 
-  Job j{5.0, 1, nullptr};
+  Job j{5.0, 1};
   j.id = 9;
-  res.submit(std::move(j));
+  res.submit(j);
   EXPECT_EQ(res.cancel(9), CancelOutcome::kInService);
   EXPECT_EQ(idles, 2);  // cancellation drained the queue
 
-  res.submit(Job{5.0, 2, nullptr});
+  res.submit(Job{5.0, 2});
   res.fail();
   EXPECT_EQ(idles, 2);  // fail() is not an idle transition
   res.recover();

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace anu {
 namespace {
@@ -99,11 +102,11 @@ TEST(Histogram, EmptyQuantileIsZero) {
 }
 
 TEST(TimeSeries, WindowedMeanBasic) {
-  TimeSeries ts;
+  TimeSeries ts(1.0, 3.0);
   ts.add(0.5, 2.0);
   ts.add(0.9, 4.0);
   ts.add(1.5, 10.0);
-  const auto windows = ts.windowed_mean(1.0, 3.0);
+  const auto windows = ts.windowed_mean();
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_DOUBLE_EQ(windows[0].value, 3.0);   // mean(2, 4)
   EXPECT_DOUBLE_EQ(windows[1].value, 10.0);  // mean(10)
@@ -111,9 +114,9 @@ TEST(TimeSeries, WindowedMeanBasic) {
 }
 
 TEST(TimeSeries, EmptyWindowsBeforeFirstSampleAreZero) {
-  TimeSeries ts;
+  TimeSeries ts(1.0, 4.0);
   ts.add(2.5, 7.0);
-  const auto windows = ts.windowed_mean(1.0, 4.0);
+  const auto windows = ts.windowed_mean();
   ASSERT_EQ(windows.size(), 4u);
   EXPECT_DOUBLE_EQ(windows[0].value, 0.0);
   EXPECT_DOUBLE_EQ(windows[1].value, 0.0);
@@ -122,13 +125,97 @@ TEST(TimeSeries, EmptyWindowsBeforeFirstSampleAreZero) {
 }
 
 TEST(TimeSeries, WindowTimesAreWindowEnds) {
-  TimeSeries ts;
-  const auto windows = ts.windowed_mean(2.0, 6.0);
+  const TimeSeries ts(2.0, 6.0);
+  const auto windows = ts.windowed_mean();
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_DOUBLE_EQ(windows[0].time, 2.0);
   EXPECT_DOUBLE_EQ(windows[2].time, 6.0);
 }
 
+/// The reduction TimeSeries streams: every sample kept, then the windows
+/// scanned in order, each taking the samples before its end.
+std::vector<TimeSeries::Point> per_point_windowed_mean(
+    const std::vector<TimeSeries::Point>& points, double window,
+    double horizon) {
+  std::vector<TimeSeries::Point> out;
+  const auto windows = static_cast<std::size_t>(std::ceil(horizon / window));
+  std::size_t i = 0;
+  double carry = 0.0;
+  for (std::size_t w = 0; w < windows; ++w) {
+    const double end = window * static_cast<double>(w + 1);
+    double sum = 0.0;
+    std::size_t n = 0;
+    while (i < points.size() && points[i].time < end) {
+      sum += points[i].value;
+      ++n;
+      ++i;
+    }
+    const double mean = n ? sum / static_cast<double>(n) : carry;
+    carry = mean;
+    out.push_back({end, mean});
+  }
+  return out;
+}
+
+/// Feeds `points` (sorted here by time) to a TimeSeries and requires every
+/// window's time and mean to equal the per-point scan's, bit for bit.
+void expect_streaming_matches_scan(std::vector<TimeSeries::Point> points,
+                                   double window, double horizon) {
+  std::stable_sort(points.begin(), points.end(),
+                   [](const TimeSeries::Point& a, const TimeSeries::Point& b) {
+                     return a.time < b.time;
+                   });
+  TimeSeries ts(window, horizon);
+  for (const auto& p : points) ts.add(p.time, p.value);
+  const auto got = ts.windowed_mean();
+  const auto want = per_point_windowed_mean(points, window, horizon);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w].time, want[w].time) << "window " << w;
+    EXPECT_EQ(got[w].value, want[w].value) << "window " << w;
+  }
+}
+
+TEST(TimeSeries, StreamingMatchesPerPointScanOnRandomSamples) {
+  Xoshiro256 rng(17);
+  for (const double window : {0.1, 0.3, 1.0, 120.0, 300.0}) {
+    const double horizon = 37.0 * window + window / 3.0;
+    std::vector<TimeSeries::Point> points;
+    for (int i = 0; i < 5000; ++i) {
+      // Spills a little past the horizon: those samples must be dropped.
+      points.push_back({1.05 * horizon * rng.next_double(),
+                        100.0 * rng.next_double()});
+    }
+    expect_streaming_matches_scan(points, window, horizon);
+  }
+}
+
+TEST(TimeSeries, StreamingMatchesPerPointScanAtWindowBoundaries) {
+  const double window = 0.1;
+  const double horizon = 5.0;
+  std::vector<TimeSeries::Point> points;
+  double value = 1.0;
+  for (int w = 0; w <= 52; ++w) {
+    const double end = window * static_cast<double>(w);
+    // Exact window ends and their neighbouring doubles.
+    for (const double t : {std::nextafter(end, 0.0), end,
+                           std::nextafter(end, 10.0)}) {
+      points.push_back({t, value});
+      value += 1.0;
+    }
+  }
+  // Decimal times near window ends. floor(t / 0.1) puts 1.7, 3.4 and 3.9
+  // one window late and 4.3 one window early.
+  for (const double t : {0.3, 0.7, 1.7, 3.4, 3.9, 4.3, horizon, horizon,
+                         5.0000001, 9.0}) {
+    points.push_back({t, value});
+    value += 1.0;
+  }
+  expect_streaming_matches_scan(points, window, horizon);
+  // The same samples under windows that do not divide the horizon.
+  expect_streaming_matches_scan(points, 0.3, horizon);
+  expect_streaming_matches_scan(points, 0.7, horizon);
+}
 
 TEST(LogHistogram, EmptyQuantileIsZero) {
   LogHistogram h;
