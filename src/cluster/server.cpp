@@ -110,12 +110,10 @@ void Server::recover() {
 void Server::degrade(double factor) {
   ANU_REQUIRE(factor > 0.0 && factor <= 1.0);
   ANU_REQUIRE(is_up());
-  degraded_ = true;
   resource_.set_speed(nominal_speed_ * factor);
 }
 
 void Server::restore() {
-  degraded_ = false;
   resource_.set_speed(nominal_speed_);
 }
 

@@ -117,11 +117,6 @@ class Server {
   /// Failure also drops all cache warmth (a restarted server is cold).
   void fail();
   void recover();
-  void set_speed(double speed) {
-    nominal_speed_ = speed;
-    degraded_ = false;
-    resource_.set_speed(speed);
-  }
 
   /// Gray failure (docs/chaos.md): the server stays up — it heartbeats,
   /// reports, and keeps serving — but at `factor` times its nominal speed
@@ -130,8 +125,6 @@ class Server {
   /// also comes back at nominal (a restarted server is healthy).
   void degrade(double factor);
   void restore();
-  [[nodiscard]] bool is_degraded() const { return degraded_; }
-  [[nodiscard]] double nominal_speed() const { return nominal_speed_; }
 
   /// Flushes the cache entry of a shed file set (§5.3). No-op when the
   /// cache model is disabled or the file set was never served here.
@@ -158,7 +151,6 @@ class Server {
   ServerId id_;
   sim::FifoResource resource_;
   double nominal_speed_;
-  bool degraded_ = false;
   CacheConfig cache_;
   std::unordered_map<std::uint32_t, std::uint32_t> cache_hits_;
   RunningStats interval_;

@@ -102,9 +102,9 @@ class Clock {
                                              std::uint64_t b) const = 0;
 };
 
-/// Periodic callback on any Clock: fires at interval, 2*interval, ...
-/// Clock-agnostic twin of sim::PeriodicMonitor (same first-tick-at-interval
-/// and re-arm-before-tick semantics, so a tick that stops the timer wins).
+/// Periodic callback on any Clock: fires at interval, 2*interval, ...; the
+/// protocol's timers and run_experiment's tuning loop run on it. Each tick
+/// re-arms before it runs, so a tick that stops the timer wins.
 class PeriodicTimer {
  public:
   using Tick = std::function<void(SimTime)>;

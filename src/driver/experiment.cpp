@@ -6,8 +6,9 @@
 #include <optional>
 
 #include "common/assert.h"
-#include "metrics/latency_tracker.h"
-#include "sim/monitor.h"
+#include "common/clock.h"
+#include "driver/request_loop.h"
+#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu::driver {
@@ -43,22 +44,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const workload::Workload& workload,
                                 balance::LoadBalancer& balancer) {
   ANU_REQUIRE(config.tuning_interval > 0.0);
-  const SimTime horizon =
-      config.horizon > 0.0 ? config.horizon : workload.span() + 1.0;
 
   sim::Simulation sim;
-  // Attach the sink before the cluster constructs so the initial
+  // Attach the sink before the loop builds the cluster so the initial
   // server_add roster lands in the trace.
   obs::TraceSink* const trace = config.trace;
   sim.set_trace(trace);
-  cluster::Cluster cluster(sim, config.cluster);
-  metrics::LatencyTracker latency(cluster.server_count(),
-                                  config.series_window, horizon);
-
-  std::vector<double> weights;
-  weights.reserve(workload.file_set_count());
-  for (const auto& fs : workload.file_sets()) weights.push_back(fs.weight);
-  metrics::MovementTracker movement(weights);
+  RequestLoop loop(sim, config.cluster, workload, config.horizon,
+                   config.series_window);
+  const SimTime horizon = loop.horizon();
+  cluster::Cluster& cluster = loop.cluster();
+  metrics::MovementTracker& movement = loop.movement();
+  const std::vector<double>& weights = loop.weights();
 
   // Live-state adapter for dispatch strategies (JSQ(d) / JIQ / redundancy):
   // the balance layer sees queue lengths and speeds without depending on
@@ -175,10 +172,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       std::uint32_t index;
     };
 
-    cluster::Cluster& cluster;
+    RequestLoop& loop;
     std::vector<Group> groups = {};
     std::uint32_t free_head = kNoSlot;
-    std::function<void(FileSetId, double)> redispatch = nullptr;
     std::uint64_t submitted = 0;
     std::uint64_t cancelled_queued = 0;
     std::uint64_t cancelled_in_service = 0;
@@ -226,7 +222,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       for (std::uint32_t i = 0; i < group.count; ++i) {
         Replica& rep = group.replicas[i];
         if (!rep.active || i == winner.index) continue;
-        switch (cluster.server(rep.server).cancel(job_id(winner.slot, i))) {
+        switch (loop.cluster().server(rep.server).cancel(
+            job_id(winner.slot, i))) {
           case sim::CancelOutcome::kQueued: ++cancelled_queued; break;
           case sim::CancelOutcome::kInService: ++cancelled_in_service; break;
           case sim::CancelOutcome::kNotFound: break;
@@ -260,10 +257,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       const double demand = group.demand;
       release(t->slot);
       ++rescued;
-      redispatch(fs, demand);
+      loop.dispatch(fs, demand);
     }
     void submit(const balance::DispatchDecision& decision, FileSetId fs,
-                double demand, obs::TraceSink* trace, SimTime now) {
+                double demand) {
       const std::uint32_t slot = acquire();
       Group& group = groups[slot];
       group.fs = fs;
@@ -285,57 +282,33 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         Replica& rep = g.replicas[i];
         rep.active = true;
         ++submitted;
-        if (trace) {
-          trace->emit(now, obs::EventType::kRequestIssue, fs.value(),
-                      rep.server.value(), 0, demand);
-        }
-        cluster.server(rep.server).submit_replica(fs, demand, job_id(slot, i));
+        loop.issue(rep.server, fs, demand, job_id(slot, i));
       }
     }
-  } replicas{cluster};
+  } replicas{loop};
   cluster.on_start = [&](std::uint64_t id) { replicas.on_start(id); };
 
-  std::uint64_t issued = 0;
-  std::function<void(FileSetId, double)> dispatch = [&](FileSetId fs,
-                                                        double demand) {
+  loop.dispatch = [&](FileSetId fs, double demand) {
     if (per_request) {
       const balance::DispatchDecision decision = balancer.dispatch(fs, demand);
       ANU_REQUIRE(decision.count >= 1);
       if (decision.count == 1) {
-        if (trace) {
-          trace->emit(sim.now(), obs::EventType::kRequestIssue, fs.value(),
-                      decision.targets[0].value(), 0, demand);
-        }
-        cluster.submit(decision.targets[0], fs, demand);
+        loop.issue(decision.targets[0], fs, demand);
       } else {
-        replicas.submit(decision, fs, demand, trace, sim.now());
+        replicas.submit(decision, fs, demand);
       }
       return;
     }
     const ServerId target = routing[fs.value()];
     double extra = 0.0;
     std::swap(extra, pending_penalty[fs.value()]);
-    if (trace) {
-      trace->emit(sim.now(), obs::EventType::kRequestIssue, fs.value(),
-                  target.value(), 0, demand + extra);
-    }
-    cluster.submit(target, fs, demand + extra);
-  };
-  replicas.redispatch = [&dispatch](FileSetId fs, double demand) {
-    dispatch(fs, demand);
+    loop.issue(target, fs, demand + extra);
   };
 
-  RunningStats steady_state;
-  LogHistogram histogram;
+  // A replica's completion settles its race before the loop counts it.
   cluster.on_complete = [&](const cluster::Completion& c) {
     if (c.job_id != 0) replicas.on_complete(c.job_id);
-    latency.observe(c);
-    histogram.add(c.latency());
-    if (c.completion >= horizon * 0.5) steady_state.add(c.latency());
-    if (trace) {
-      trace->emit(c.completion, obs::EventType::kRequestComplete,
-                  c.file_set.value(), c.server.value(), 0, c.latency());
-    }
+    loop.complete(c);
   };
   // Requests stranded on a failing server re-dispatch: plain requests go
   // back through dispatch (placement is already updated); replicas are
@@ -345,7 +318,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       replicas.on_lost(job_id);
       return;
     }
-    dispatch(fs, demand);
+    loop.dispatch(fs, demand);
   };
 
   // Initial placement: prescient systems see interval 0; ANU and simple
@@ -360,32 +333,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     }
   }
 
-  // Arrival cursor: one in-flight event that submits request i and arms
-  // request i+1 (keeps the calendar O(servers), not O(requests)).
-  const auto& requests = workload.requests();
-  std::size_t cursor = 0;
-  std::function<void()> arrive = [&] {
-    while (cursor < requests.size() &&
-           requests[cursor].arrival <= sim.now()) {
-      const workload::Request& r = requests[cursor++];
-      ++issued;
-      dispatch(r.file_set, r.demand);
-    }
-    // Re-armed through a reference: copying `arrive` into the event would
-    // heap-allocate its captures on every arrival.
-    if (cursor < requests.size()) {
-      sim.schedule_at(requests[cursor].arrival, [&arrive] { arrive(); });
-    }
-  };
-  if (!requests.empty()) {
-    sim.schedule_at(requests.front().arrival, [&arrive] { arrive(); });
-  }
+  loop.start_arrivals();
 
   // The tuning loop (§4): collect interval reports, delegate round, record
   // movement.
+  sim::SimClock clock(sim);
   std::uint64_t rounds = 0;
   std::vector<ExperimentResult::ShareSample> share_samples;
-  sim::PeriodicMonitor tuner(sim, config.tuning_interval, [&](SimTime now) {
+  PeriodicTimer tuner(clock, config.tuning_interval, [&](SimTime now) {
     if (now > horizon) return;
     ++rounds;
     for (std::uint32_t s = 0; s < cluster.server_count(); ++s) {
@@ -435,93 +390,46 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     share_samples.push_back(std::move(sample));
   });
 
-  // Scripted membership changes. Balancer first (placement must be valid
-  // before the cluster flushes queued requests back through dispatch).
-  for (const cluster::MembershipEvent& event : config.failures.events()) {
-    sim.schedule_at(event.when, [&, event] {
-      switch (event.action) {
-        case cluster::MembershipAction::kFail:
-        case cluster::MembershipAction::kRemove: {
-          const auto moves = balancer.on_server_failed(event.server);
-          movement.record(sim.now(), moves);
-          apply_moves(moves, /*immediate=*/true);
-          // With control_delay, routing may lag the balancer and still pin
-          // a file set to the failing server the balancer never saw it on;
-          // sweep every such entry onto the balancer's current placement.
-          if (!per_request) {
-            for (std::uint32_t fs = 0; fs < routing.size(); ++fs) {
-              if (routing[fs] == event.server) {
-                routing[fs] = balancer.server_for(FileSetId(fs));
-              }
-            }
-          }
-          cluster.fail_server(event.server);
-          break;
-        }
-        case cluster::MembershipAction::kRecover: {
-          cluster.recover_server(event.server);
-          balancer.set_oracle(oracle_for(static_cast<std::size_t>(
-              sim.now() / config.tuning_interval)));
-          const auto moves = balancer.on_server_recovered(event.server);
-          movement.record(sim.now(), moves);
-          apply_moves(moves, /*immediate=*/true);
-          break;
-        }
-        case cluster::MembershipAction::kAdd: {
-          const ServerId id = cluster.add_server(event.speed);
-          latency.add_server();
-          balancer.set_oracle(oracle_for(static_cast<std::size_t>(
-              sim.now() / config.tuning_interval)));
-          const auto moves = balancer.on_server_added(id);
-          movement.record(sim.now(), moves);
-          apply_moves(moves, /*immediate=*/true);
-          break;
-        }
-        case cluster::MembershipAction::kDegrade:
-          // Gray failure: membership is untouched — only the latency the
-          // server reports can tell the tuner something is wrong.
-          cluster.degrade_server(event.server, event.factor);
-          break;
-        case cluster::MembershipAction::kRestore:
-          cluster.restore_server(event.server);
-          break;
+  // Scripted membership changes. Their moves apply at once: placement must
+  // be valid before the cluster flushes queued requests back through
+  // dispatch.
+  auto rebalance_now = [&](const balance::RebalanceResult& moves) {
+    movement.record(sim.now(), moves);
+    apply_moves(moves, /*immediate=*/true);
+  };
+  auto refresh_oracle = [&] {
+    balancer.set_oracle(oracle_for(
+        static_cast<std::size_t>(sim.now() / config.tuning_interval)));
+  };
+  RequestLoop::Membership membership;
+  membership.fail = [&](ServerId server) {
+    rebalance_now(balancer.on_server_failed(server));
+    // With control_delay, routing may lag the balancer and still pin a file
+    // set to the failing server the balancer never saw it on; sweep every
+    // such entry onto the balancer's current placement.
+    if (per_request) return;
+    for (std::uint32_t fs = 0; fs < routing.size(); ++fs) {
+      if (routing[fs] == server) {
+        routing[fs] = balancer.server_for(FileSetId(fs));
       }
-    });
-  }
+    }
+  };
+  membership.recover = [&](ServerId server) {
+    refresh_oracle();
+    rebalance_now(balancer.on_server_recovered(server));
+  };
+  membership.add = [&](ServerId server) {
+    refresh_oracle();
+    rebalance_now(balancer.on_server_added(server));
+  };
+  loop.schedule_membership(config.failures, std::move(membership));
 
   sim.run_until(horizon);
   tuner.stop();
 
-  ExperimentResult result;
-  result.server_count = cluster.server_count();
-  result.horizon = horizon;
-  result.aggregate = latency.aggregate();
-  result.steady_state = steady_state;
-  result.latency_histogram = histogram;
-  result.per_server.reserve(cluster.server_count());
-  result.served.reserve(cluster.server_count());
-  result.latency_over_time.reserve(cluster.server_count());
-  result.utilization.reserve(cluster.server_count());
-  for (std::uint32_t s = 0; s < cluster.server_count(); ++s) {
-    const auto id = ServerId(s);
-    result.per_server.push_back(latency.server_stats(id));
-    result.served.push_back(latency.served(id));
-    result.latency_over_time.push_back(
-        latency.server_series(id).windowed_mean());
-    result.utilization.push_back(cluster.server(id).utilization(horizon));
-  }
+  ExperimentResult result = loop.result();
   result.shares_over_time = std::move(share_samples);
-  result.movement = movement.rounds();
-  result.total_moved = movement.total_moved();
-  result.unique_moved = movement.unique_moved();
-  result.percent_workload_moved = movement.percent_workload_moved();
-  result.percent_unique_workload_moved =
-      movement.percent_unique_workload_moved();
   result.shared_state_bytes = balancer.shared_state_bytes();
-  result.requests_issued = issued;
-  result.requests_completed = latency.total_served();
-  result.events_executed = sim.events_executed();
-  result.queue = sim.queue_stats();
   result.tuning_rounds = rounds;
   result.balance.strategy = std::string(balancer.name());
   result.balance.per_request = per_request;

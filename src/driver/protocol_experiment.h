@@ -2,7 +2,9 @@
 // message-level control protocol (src/proto) instead of an instantaneous
 // balancer — the most faithful end-to-end configuration in the repository.
 //
-// Differences from run_experiment(AnuBalancer):
+// Both drivers run their requests through one loop (driver/request_loop.h),
+// so comparing the two measures the control plane alone. What this driver
+// does differently from run_experiment(AnuBalancer):
 //   * latency reports travel the simulated network to the elected delegate;
 //     the new region table is broadcast and applied per node as messages
 //     arrive — nodes transiently disagree;

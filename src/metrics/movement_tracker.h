@@ -35,7 +35,6 @@ class MovementTracker {
 
   [[nodiscard]] const std::vector<Round>& rounds() const { return rounds_; }
   [[nodiscard]] std::size_t total_moved() const { return total_moved_; }
-  [[nodiscard]] double total_moved_weight() const { return moved_weight_; }
   /// Percentage (0..100+) of total workload weight that has moved; a file
   /// set moving twice counts twice, as in the paper's cumulative plot.
   [[nodiscard]] double percent_workload_moved() const;

@@ -307,7 +307,7 @@ class Parser {
   }
 
   std::optional<std::string> parse_string() {
-    if (text_[pos_] != '"') {
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
       error_ = "expected string";
       return std::nullopt;
     }

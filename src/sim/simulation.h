@@ -4,8 +4,8 @@
 // an event calendar ordered by (time, insertion sequence) — the sequence
 // number gives deterministic FIFO semantics for simultaneous events — plus a
 // simulation clock and cancellable event handles. Higher layers (FIFO
-// queueing resources, periodic monitors, the cluster model) are built on
-// exactly this interface.
+// queueing resources, the cluster model, and through sim::SimClock the
+// periodic timers of common/clock.h) are built on exactly this interface.
 //
 // The calendar is a ladder queue (event_queue.h): O(1) amortized
 // schedule/dispatch versus the O(log n) sift of a binary heap, with only

@@ -1,12 +1,15 @@
-// Heap allocations the experiment driver makes per completed request.
+// Heap allocations the experiment drivers make per completed request.
 //
 // This binary replaces the global operator new/delete with counting
 // forwards to std::malloc/std::free, so ASan and TSan still see every
-// block. Counting is on only inside run_experiment: workload generation and
-// balancer construction are not charged. The event slab, the replica group
-// table, the FIFO queues and the latency windows all reuse storage, and a
-// queued job is plain data; what remains is growth to a new high-water mark
-// and per-round tuning results.
+// block. Counting is on only inside run_experiment or
+// run_protocol_experiment: workload generation, balancer and fault-plan
+// construction are not charged. Both drivers run their requests through
+// the same request loop. The event slab, the replica group table, the FIFO
+// queues and the latency windows all reuse storage, and a queued job is
+// plain data; what remains is growth to a new high-water mark and
+// per-round work: tuning results, and under the message protocol each
+// round's messages and region maps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,9 +19,12 @@
 #include <new>
 #include <string>
 
+#include "cluster/failure_schedule.h"
 #include "driver/balancer_factory.h"
 #include "driver/experiment.h"
 #include "driver/paper.h"
+#include "driver/protocol_experiment.h"
+#include "faults/fault_plan.h"
 
 namespace {
 
@@ -94,14 +100,13 @@ void operator delete[](void* p, std::align_val_t,
 namespace anu::driver {
 namespace {
 
-/// Allocations inside one §5.1 synthetic run, per completed request.
-double allocations_per_request(const SystemConfig& system) {
-  const workload::Workload workload = paper_synthetic_workload();
-  const ExperimentConfig config = paper_experiment_config();
-  auto balancer = make_balancer(system, config.cluster.server_speeds.size());
+/// Allocations inside `run` (one §5.1 synthetic run), per completed
+/// request.
+template <class Run>
+double measure_allocations_per_request(Run&& run) {
   g_allocations.store(0);
   g_counting.store(true);
-  const ExperimentResult result = run_experiment(config, workload, *balancer);
+  const ExperimentResult result = run();
   g_counting.store(false);
   EXPECT_GT(result.requests_completed, 60'000u);
   const double per_request = static_cast<double>(g_allocations.load()) /
@@ -109,6 +114,14 @@ double allocations_per_request(const SystemConfig& system) {
   ::testing::Test::RecordProperty("allocations_per_request",
                                   std::to_string(per_request));
   return per_request;
+}
+
+double allocations_per_request(const SystemConfig& system) {
+  const workload::Workload workload = paper_synthetic_workload();
+  const ExperimentConfig config = paper_experiment_config();
+  auto balancer = make_balancer(system, config.cluster.server_speeds.size());
+  return measure_allocations_per_request(
+      [&] { return run_experiment(config, workload, *balancer); });
 }
 
 TEST(Allocation, AnuRunAllocatesLessThanOncePerRequest) {
@@ -131,6 +144,21 @@ TEST(Allocation, RedundancyCancelOnStartAllocatesLessThanOncePerRequest) {
   system.red.d = 3;
   system.red.cancel = balance::RedundancyDConfig::CancelMode::kOnStart;
   EXPECT_LT(allocations_per_request(system), 0.02);
+}
+
+TEST(Allocation, ProtocolRunAllocatesLessThanOncePerRequest) {
+  const workload::Workload workload = paper_synthetic_workload();
+  ProtocolExperimentConfig config;
+  config.cluster = cluster::paper_cluster();
+  faults::FaultPlanConfig fault_config;
+  fault_config.loss = 0.02;
+  faults::FaultPlan plan(fault_config);
+  config.faults = &plan;
+  config.failures = cluster::FailureSchedule::random_fail_recover(
+      7, 5, 4, 0.8 * workload.span(), 240.0);
+  EXPECT_LT(measure_allocations_per_request(
+                [&] { return run_protocol_experiment(config, workload); }),
+            0.25);
 }
 
 }  // namespace

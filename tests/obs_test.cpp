@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/trace_sink.h"
+#include "series_hash.h"
 
 namespace anu {
 namespace {
@@ -247,8 +249,8 @@ struct TracedRun {
   TraceSink sink;
 };
 
-TracedRun traced_tiny_run() {
-  TracedRun run{tiny_spec(), {}, TraceSink(1 << 16)};
+TracedRun traced_run(driver::SimSpec spec) {
+  TracedRun run{std::move(spec), {}, TraceSink(1 << 16)};
   run.spec.experiment.trace = &run.sink;
   const auto workload = driver::build_workload(run.spec);
   auto balancer = driver::make_balancer(
@@ -257,6 +259,8 @@ TracedRun traced_tiny_run() {
       driver::run_experiment(run.spec.experiment, *workload, *balancer);
   return run;
 }
+
+TracedRun traced_tiny_run() { return traced_run(tiny_spec()); }
 
 TEST(ExperimentTrace, EmitsExpectedEventTypes) {
   const TracedRun run = traced_tiny_run();
@@ -306,24 +310,59 @@ TEST(ExperimentTrace, TuningRoundsRecomputePercentWorkloadMoved) {
   EXPECT_NEAR(last_cumulative_pct, run.result.percent_workload_moved, 1e-9);
 }
 
-TEST(ProtocolTrace, EmitsMessageAndDelegateEvents) {
+// The literals below were captured by running these test bodies at commit
+// 03f4493a7cf6, where each driver kept its own arrival cursor and emitted
+// request_issue and request_complete itself: every retained event must
+// stay the same, field for field, whichever code emits it.
+TEST(ExperimentTrace, PinnedContentThroughFailRecover) {
+  const TracedRun run = traced_tiny_run();
+  EXPECT_EQ(run.sink.emitted(), 1252u);
+  EXPECT_EQ(run.sink.dropped(), 0u);
+  EXPECT_EQ(trace_hash(run.sink), 0x9789d22214a75a20ULL);
+}
+
+TEST(ExperimentTrace, PinnedContentOfReplicaRaces) {
+  driver::SimSpec spec = tiny_spec();
+  spec.system.kind = driver::SystemKind::kRedundancyD;
+  spec.system.red.d = 2;
+  const TracedRun run = traced_run(std::move(spec));
+  EXPECT_EQ(run.sink.emitted(), 1801u);
+  EXPECT_EQ(run.sink.dropped(), 0u);
+  EXPECT_EQ(trace_hash(run.sink), 0x07794153875cb0cdULL);
+}
+
+/// Three servers under the message protocol, no failures, 400 s.
+void traced_protocol_run(TraceSink& sink) {
   driver::ProtocolExperimentConfig config;
   config.cluster.server_speeds = {1.0, 2.0, 3.0};
   config.horizon = 400.0;
   config.protocol.tuning_interval = 60.0;
-  TraceSink sink(1 << 16);
   config.trace = &sink;
   driver::SimSpec spec = tiny_spec();
   spec.synthetic.cluster_capacity = 6.0;
   spec.experiment.failures = {};
   const auto workload = driver::build_workload(spec);
   (void)driver::run_protocol_experiment(config, *workload);
+}
+
+TEST(ProtocolTrace, EmitsMessageAndDelegateEvents) {
+  TraceSink sink(1 << 16);
+  traced_protocol_run(sink);
   std::set<EventType> seen;
   sink.for_each([&](const obs::TraceEvent& e) { seen.insert(e.type); });
   EXPECT_TRUE(seen.count(EventType::kMessageSend));
   EXPECT_TRUE(seen.count(EventType::kMessageRecv));
   EXPECT_TRUE(seen.count(EventType::kDelegateRound));
   EXPECT_TRUE(seen.count(EventType::kMapApply));
+}
+
+// Captured at commit 03f4493a7cf6, like the ExperimentTrace pins above.
+TEST(ProtocolTrace, PinnedContent) {
+  TraceSink sink(1 << 16);
+  traced_protocol_run(sink);
+  EXPECT_EQ(sink.emitted(), 905u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(trace_hash(sink), 0x4f278d13a69d50d1ULL);
 }
 
 // ----------------------------------------------------------------- manifest

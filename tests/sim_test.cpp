@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "sim/monitor.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 
@@ -304,33 +303,6 @@ TEST(FifoResource, CompletionCanResubmit) {
   EXPECT_EQ(completions, 3);
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
-
-TEST(PeriodicMonitor, FiresAtInterval) {
-  Simulation sim;
-  std::vector<double> ticks;
-  PeriodicMonitor mon(sim, 2.0, [&](SimTime t) { ticks.push_back(t); });
-  sim.run_until(7.0);
-  mon.stop();
-  EXPECT_EQ(ticks, (std::vector<double>{2.0, 4.0, 6.0}));
-}
-
-TEST(PeriodicMonitor, StopInsideTick) {
-  Simulation sim;
-  int ticks = 0;
-  PeriodicMonitor mon(sim, 1.0, [&](SimTime) {
-    if (++ticks == 2) mon.stop();
-  });
-  sim.run_until(10.0);
-  EXPECT_EQ(ticks, 2);
-}
-
-TEST(PeriodicMonitor, CountsTicks) {
-  Simulation sim;
-  PeriodicMonitor mon(sim, 1.0, [](SimTime) {});
-  sim.run_until(4.5);
-  EXPECT_EQ(mon.ticks_fired(), 4u);
-}
-
 
 TEST(Simulation, CancelAfterFireIsNoop) {
   Simulation sim;
