@@ -10,7 +10,7 @@
 
 #include "proto/network.h"
 #include "proto/protocol.h"
-#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 namespace {
 
@@ -34,10 +34,9 @@ std::vector<std::string> file_set_names() {
 /// replica applies a new map.
 struct RotatingCluster {
   sim::Simulation sim;
-  sim::SimClock clock{sim};
-  proto::Network network{clock, proto::NetworkConfig{}, kNodes};
+  proto::Network network{sim, proto::NetworkConfig{}, kNodes};
   proto::ProtocolCluster protocol{
-      clock, network, proto::ProtocolConfig{}, kNodes,
+      sim, network, proto::ProtocolConfig{}, kNodes,
       [this](std::uint32_t s, UnitPoint /*share*/) {
         const auto round =
             static_cast<std::uint32_t>(sim.now() / kInterval + 0.5);

@@ -39,7 +39,7 @@ void BM_EventChurn(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     Simulation sim;
-    std::vector<EventHandle> handles;
+    std::vector<anu::TimerHandle> handles;
     handles.reserve(batch);
     for (std::size_t i = 0; i < batch; ++i) {
       handles.push_back(sim.schedule_at(

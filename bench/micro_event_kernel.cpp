@@ -38,7 +38,7 @@ std::uint64_t run_dispatch(std::size_t batch) {
 
 std::uint64_t run_churn(std::size_t batch) {
   Simulation sim;
-  std::vector<EventHandle> handles;
+  std::vector<TimerHandle> handles;
   handles.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
     handles.push_back(sim.schedule_at(

@@ -18,7 +18,7 @@
 #include "driver/protocol_experiment.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
-#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 using namespace anu;
 using namespace anu::proto;
@@ -36,10 +36,9 @@ struct RunResult {
 RunResult run(std::size_t servers, double base_delay, double grace,
               std::uint64_t rounds) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   NetworkConfig net_config;
   net_config.base_delay = base_delay;
-  Network net(clock, net_config, servers);
+  Network net(sim, net_config, servers);
   ProtocolConfig config;
   config.report_grace = grace;
   std::vector<double> speeds(servers);
@@ -47,7 +46,7 @@ RunResult run(std::size_t servers, double base_delay, double grace,
     speeds[s] = 1.0 + static_cast<double>(s % 9);
   }
   ProtocolCluster cluster(
-      clock, net, config, servers, [&](std::uint32_t s, UnitPoint share) {
+      sim, net, config, servers, [&](std::uint32_t s, UnitPoint share) {
         return balance::ServerReport{
             share.to_double() / speeds[s] * 100.0 + 1e-6,
             static_cast<std::size_t>(share.to_double() * 1e4) + 1};
@@ -107,13 +106,12 @@ int main(int argc, char** argv) {
   // --- emergent membership: heartbeat detection latency -------------------
   {
     sim::Simulation sim;
-    sim::SimClock clock(sim);
-    Network net(clock, NetworkConfig{}, 5);
+    Network net(sim, NetworkConfig{}, 5);
     ProtocolConfig config;
     config.use_heartbeats = true;
     const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
     ProtocolCluster cluster(
-        clock, net, config, 5, [&](std::uint32_t s, UnitPoint share) {
+        sim, net, config, 5, [&](std::uint32_t s, UnitPoint share) {
           return balance::ServerReport{
               share.to_double() / speeds[s] * 100.0 + 1e-6,
               static_cast<std::size_t>(share.to_double() * 1e4) + 1};

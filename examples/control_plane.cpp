@@ -14,7 +14,7 @@
 #include "proto/network.h"
 #include "proto/protocol.h"
 #include "sim/process.h"
-#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 using namespace anu;
 using namespace anu::proto;
@@ -45,10 +45,9 @@ int main() {
   const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0};
 
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  Network network(clock, NetworkConfig{}, kServers);
+  Network network(sim, NetworkConfig{}, kServers);
   ProtocolCluster cluster(
-      clock, network, ProtocolConfig{}, kServers,
+      sim, network, ProtocolConfig{}, kServers,
       [&](std::uint32_t s, UnitPoint share) {
         // Data-plane stand-in: latency tracks share/speed.
         return balance::ServerReport{

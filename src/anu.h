@@ -41,7 +41,6 @@
 #include "runtime/serve_config.h"      // IWYU pragma: export
 #include "runtime/time_source.h"       // IWYU pragma: export
 #include "runtime/udp_transport.h"     // IWYU pragma: export
-#include "sim/sim_clock.h"             // IWYU pragma: export
 #include "sim/simulation.h"            // IWYU pragma: export
 #include "workload/synthetic.h"        // IWYU pragma: export
 #include "workload/trace.h"            // IWYU pragma: export

@@ -6,18 +6,20 @@
 // time, and an optional trace sink. anu::Clock narrows that dependency to a
 // virtual interface so the same protocol code runs against
 //
-//   * sim::SimClock — the discrete-event simulator (src/sim), where time is
-//     simulated and a whole day of protocol traffic executes in microseconds;
-//   * runtime::RealtimeClock — a steady-clock + timer-wheel implementation
-//     (src/runtime) that fires the same callbacks against wall time, which
-//     is what `anu_serve` and any embedding application use.
+//   * sim::Simulation — the discrete-event simulator (src/sim) is itself a
+//     Clock; time is simulated and a whole day of protocol traffic executes
+//     in microseconds;
+//   * runtime::RealtimeClock — a wall-time wrapper (src/runtime) that keeps
+//     its timers on a sim::Simulation of its own and fires them as a steady
+//     clock passes their deadlines, which is what `anu_serve` and any
+//     embedding application use.
 //
-// The contract both implementations honor (and tests/clock_parity_test.cpp
-// enforces): timers fire in (deadline, schedule-order) order — FIFO among
-// equal deadlines — and a callback may schedule or cancel further timers,
-// including at its own firing time. Given that, the protocol's behaviour is
-// a pure function of its inputs on either clock; docs/runtime.md states the
-// sim-vs-realtime guarantees precisely.
+// One calendar therefore backs both: timers fire in (deadline,
+// schedule-order) order — FIFO among equal deadlines — and a callback may
+// schedule or cancel further timers, including at its own firing time.
+// Given that, the protocol's behaviour is a pure function of its inputs on
+// either clock; docs/runtime.md states the sim-vs-realtime guarantees
+// precisely, and tests/clock_parity_test.cpp checks the wall-time wrapper.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +36,10 @@ namespace anu {
 
 class Clock;
 
-/// Cancellable handle to a scheduled timer — the clock-agnostic analogue of
-/// sim::EventHandle (same semantics: copyable, cancelling any copy cancels
-/// the timer, all operations O(1), safe before or after the timer fires).
-/// The two opaque words are interpreted by the issuing Clock; the Clock
-/// must outlive any use of cancel()/cancelled().
+/// Cancellable handle to a scheduled timer: copyable, cancelling any copy
+/// cancels the timer, all operations O(1) and allocation-free, safe before
+/// or after the timer fires. The two opaque words are interpreted by the
+/// issuing Clock; the Clock must outlive any use of cancel()/cancelled().
 class TimerHandle {
  public:
   TimerHandle() = default;
@@ -64,9 +65,9 @@ class TimerHandle {
 /// Time + deferred execution, as the decision core sees it.
 class Clock {
  public:
-  /// Scheduled callback: same small-buffer-optimized type the simulator's
-  /// slab stores, so routing protocol actions through the interface keeps
-  /// the allocation profile of direct sim::Simulation use.
+  /// Scheduled callback. Move-only, with a 48-byte inline buffer — every
+  /// capture in sim/, proto/ and driver/ fits, so scheduling never
+  /// allocates for the callable; larger captures fall back to the heap.
   using Action = SmallFunction<void(), 48>;
 
   Clock() = default;
@@ -93,6 +94,17 @@ class Clock {
   /// Wraps implementation words (e.g. {slot, generation}) into a handle.
   TimerHandle make_handle(std::uint64_t a, std::uint64_t b) {
     return TimerHandle(this, a, b);
+  }
+
+  /// For a Clock that keeps its timers on another Clock: forward the cancel
+  /// hooks to the Clock that issued the handle's words.
+  static void forward_cancel(Clock& issuer, std::uint64_t a, std::uint64_t b) {
+    issuer.cancel_timer(a, b);
+  }
+  [[nodiscard]] static bool forward_cancelled(const Clock& issuer,
+                                              std::uint64_t a,
+                                              std::uint64_t b) {
+    return issuer.timer_cancelled(a, b);
   }
 
  private:

@@ -8,7 +8,6 @@
 #include "common/assert.h"
 #include "common/clock.h"
 #include "driver/request_loop.h"
-#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu::driver {
@@ -337,10 +336,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   // The tuning loop (§4): collect interval reports, delegate round, record
   // movement.
-  sim::SimClock clock(sim);
   std::uint64_t rounds = 0;
   std::vector<ExperimentResult::ShareSample> share_samples;
-  PeriodicTimer tuner(clock, config.tuning_interval, [&](SimTime now) {
+  PeriodicTimer tuner(sim, config.tuning_interval, [&](SimTime now) {
     if (now > horizon) return;
     ++rounds;
     for (std::uint32_t s = 0; s < cluster.server_count(); ++s) {

@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "driver/request_loop.h"
-#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu::driver {
@@ -20,14 +19,13 @@ ExperimentResult run_protocol_experiment(
   RequestLoop loop(sim, config.cluster, workload, config.horizon,
                    config.series_window);
   cluster::Cluster& cluster = loop.cluster();
-  sim::SimClock clock(sim);
-  proto::Network network(clock, config.network, servers);
+  proto::Network network(sim, config.network, servers);
   if (config.faults != nullptr) network.set_fault_plan(config.faults);
 
   // Latency reports come from the real queueing servers: the protocol tick
   // pulls each server's interval statistics.
   proto::ProtocolCluster protocol(
-      clock, network, config.protocol, servers,
+      sim, network, config.protocol, servers,
       [&cluster](std::uint32_t s, UnitPoint /*share*/) {
         const auto report =
             cluster.server(ServerId(s)).take_interval_report();

@@ -46,7 +46,7 @@ struct NetworkConfig {
 class Network final : public Transport {
  public:
   /// The clock models delivery delay: any anu::Clock works, so the same
-  /// Network runs under the simulator (sim::SimClock — the usual case) or
+  /// Network runs under the simulator (sim::Simulation — the usual case) or
   /// a realtime clock (tests of the runtime stack reuse it as a faultable
   /// in-process transport).
   Network(anu::Clock& clock, const NetworkConfig& config,

@@ -98,7 +98,7 @@ using LatencyModel = std::function<balance::ServerReport(
 class ProtocolCluster {
  public:
   /// The cluster is clock- and transport-agnostic: under the simulator pass
-  /// a sim::SimClock and a proto::Network; under the realtime runtime pass
+  /// the sim::Simulation and a proto::Network; under the realtime runtime pass
   /// a runtime::RealtimeClock and a runtime::UdpTransport. Nothing in this
   /// class (or below it in core/) knows which it got.
   ProtocolCluster(anu::Clock& clock, Transport& network,

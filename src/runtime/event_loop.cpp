@@ -12,7 +12,7 @@ namespace anu::runtime {
 void EventLoop::add_fd(int fd, std::function<void()> on_readable) {
   ANU_REQUIRE(fd >= 0);
   ANU_REQUIRE(on_readable != nullptr);
-  fds_.push_back(fd);
+  pollset_.push_back(pollfd{fd, POLLIN, 0});
   callbacks_.push_back(std::move(on_readable));
 }
 
@@ -26,19 +26,14 @@ std::size_t EventLoop::run_once(double max_wait) {
   }
   if (wait < 0.0) wait = 0.0;
 
-  std::vector<pollfd> pollset(fds_.size());
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    pollset[i].fd = fds_[i];
-    pollset[i].events = POLLIN;
-  }
+  for (pollfd& entry : pollset_) entry.revents = 0;
   const int timeout_ms = static_cast<int>(std::ceil(wait * 1e3));
-  const int ready =
-      ::poll(pollset.data(), pollset.size(), timeout_ms);
+  const int ready = ::poll(pollset_.data(), pollset_.size(), timeout_ms);
 
   std::size_t handled = 0;
   if (ready > 0) {
-    for (std::size_t i = 0; i < pollset.size(); ++i) {
-      if ((pollset[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
+    for (std::size_t i = 0; i < pollset_.size(); ++i) {
+      if ((pollset_[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
         callbacks_[i]();
         ++handled;
       }

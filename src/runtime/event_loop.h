@@ -8,6 +8,8 @@
 // the simulator's single-threaded execution model, it just sleeps for real.
 #pragma once
 
+#include <poll.h>
+
 #include <functional>
 #include <vector>
 
@@ -37,7 +39,9 @@ class EventLoop {
 
  private:
   RealtimeClock& clock_;
-  std::vector<int> fds_;
+  /// One entry per add_fd, kept between iterations so polling allocates
+  /// nothing; callbacks_[i] serves pollset_[i].
+  std::vector<pollfd> pollset_;
   std::vector<std::function<void()>> callbacks_;
 };
 

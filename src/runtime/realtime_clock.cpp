@@ -1,194 +1,29 @@
 #include "runtime/realtime_clock.h"
 
+#include <algorithm>
 #include <utility>
-
-#include "common/assert.h"
 
 namespace anu::runtime {
 
-namespace {
-
-std::uint64_t tick_of(SimTime t) {
-  return static_cast<std::uint64_t>(t / RealtimeClock::kTickSeconds);
-}
-
-}  // namespace
-
 SimTime RealtimeClock::now() const {
-  if (firing_) return logical_now_;
-  const SimTime t = source_.now();
-  return t > logical_now_ ? t : logical_now_;
+  if (firing_) return calendar_.now();
+  return std::max(source_.now(), calendar_.now());
 }
 
 anu::TimerHandle RealtimeClock::schedule_at(SimTime when, Action action) {
-  const SimTime current = now();
-  if (when < current) when = current;  // past deadlines fire at next pump
-
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back();
-  }
-  Timer& timer = slab_[slot];
-  timer.deadline = when;
-  timer.seq = next_seq_++;
-  timer.tick = tick_of(when);
-  if (timer.tick < cursor_) timer.tick = cursor_;  // float-edge safety
-  timer.armed = true;
-  timer.action = std::move(action);
-  ++armed_;
-  place(slot);
-  return make_handle(slot, timer.generation);
-}
-
-void RealtimeClock::place(std::uint32_t slot) {
-  const Timer& timer = slab_[slot];
-  const Entry entry{slot, timer.generation};
-  if (timer.tick - cursor_ < kSlots) {
-    wheel_[timer.tick % kSlots].push_back(entry);
-  } else {
-    overflow_.push_back(entry);
-  }
-}
-
-const RealtimeClock::Timer* RealtimeClock::live(const Entry& entry) const {
-  const Timer& timer = slab_[entry.slot];
-  if (!timer.armed || timer.generation != entry.generation) return nullptr;
-  return &timer;
-}
-
-void RealtimeClock::free_slot(std::uint32_t slot) {
-  Timer& timer = slab_[slot];
-  ANU_REQUIRE(timer.armed);
-  timer.armed = false;
-  timer.action = Action();
-  ++timer.generation;  // invalidates the wheel entry and any stale handle
-  --armed_;
-  free_.push_back(slot);
-}
-
-void RealtimeClock::cancel_timer(std::uint64_t a, std::uint64_t b) {
-  const auto slot = static_cast<std::uint32_t>(a);
-  if (slot >= slab_.size()) return;
-  const Timer& timer = slab_[slot];
-  if (!timer.armed || timer.generation != static_cast<std::uint32_t>(b)) {
-    return;  // already fired, cancelled, or recycled
-  }
-  free_slot(slot);  // the lingering wheel entry goes stale and is swept
-}
-
-bool RealtimeClock::timer_cancelled(std::uint64_t a, std::uint64_t b) const {
-  const auto slot = static_cast<std::uint32_t>(a);
-  if (slot >= slab_.size()) return true;
-  const Timer& timer = slab_[slot];
-  return !timer.armed || timer.generation != static_cast<std::uint32_t>(b);
-}
-
-void RealtimeClock::migrate_overflow() {
-  std::size_t i = 0;
-  while (i < overflow_.size()) {
-    const Entry entry = overflow_[i];
-    const Timer* timer = live(entry);
-    if (timer == nullptr) {
-      overflow_[i] = overflow_.back();
-      overflow_.pop_back();
-      continue;
-    }
-    if (timer->tick - cursor_ < kSlots) {
-      wheel_[timer->tick % kSlots].push_back(entry);
-      overflow_[i] = overflow_.back();
-      overflow_.pop_back();
-      continue;
-    }
-    ++i;
-  }
-}
-
-std::size_t RealtimeClock::drain_tick(std::uint64_t tick, SimTime horizon) {
-  auto& bucket = wheel_[tick % kSlots];
-  std::size_t fired = 0;
-  for (;;) {
-    // Sweep entries whose timer was cancelled or recycled.
-    std::size_t i = 0;
-    while (i < bucket.size()) {
-      if (live(bucket[i]) == nullptr) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    // Pick the globally next timer: minimal (deadline, seq) among this
-    // tick's due entries. One at a time, because firing may schedule new
-    // due timers that must interleave in exactly this order.
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::size_t best = kNone;
-    for (i = 0; i < bucket.size(); ++i) {
-      const Timer* timer = live(bucket[i]);
-      if (timer->tick != tick || timer->deadline > horizon) continue;
-      if (best == kNone) {
-        best = i;
-        continue;
-      }
-      const Timer* chosen = live(bucket[best]);
-      if (timer->deadline < chosen->deadline ||
-          (timer->deadline == chosen->deadline && timer->seq < chosen->seq)) {
-        best = i;
-      }
-    }
-    if (best == kNone) return fired;
-
-    const Entry entry = bucket[best];
-    bucket[best] = bucket.back();
-    bucket.pop_back();
-    Timer& timer = slab_[entry.slot];
-    Action action = std::move(timer.action);
-    if (timer.deadline > logical_now_) logical_now_ = timer.deadline;
-    free_slot(entry.slot);  // before firing: the callback may re-schedule
-    firing_ = true;
-    action();
-    firing_ = false;
-    ++fired;
-  }
+  return calendar_.schedule_at(std::max(when, now()), std::move(action));
 }
 
 std::size_t RealtimeClock::pump() {
-  const SimTime source_now = source_.now();
-  const SimTime horizon = source_now > logical_now_ ? source_now : logical_now_;
-  const std::uint64_t target = tick_of(horizon);
-  std::size_t fired = 0;
-  while (cursor_ <= target) {
-    if (armed_ == 0) {
-      // Nothing scheduled anywhere: jump the cursor and drop stale entries
-      // instead of walking (possibly hours of) empty ticks.
-      for (auto& bucket : wheel_) bucket.clear();
-      overflow_.clear();
-      cursor_ = target;
-    }
-    fired += drain_tick(cursor_, horizon);
-    if (cursor_ == target) break;  // keep later-deadline timers in the tick
-    ++cursor_;
-    if (cursor_ % kSlots == 0) migrate_overflow();
-  }
-  if (horizon > logical_now_) logical_now_ = horizon;
-  return fired;
+  const SimTime horizon = now();
+  firing_ = true;
+  const std::uint64_t fired = calendar_.run_until(horizon);
+  firing_ = false;
+  return static_cast<std::size_t>(fired);
 }
 
-SimTime RealtimeClock::next_deadline() const {
-  SimTime best = -1.0;
-  std::uint64_t best_seq = 0;
-  for (const Timer& timer : slab_) {
-    if (!timer.armed) continue;
-    if (best < 0.0 || timer.deadline < best ||
-        (timer.deadline == best && timer.seq < best_seq)) {
-      best = timer.deadline;
-      best_seq = timer.seq;
-    }
-  }
-  return best;
+SimTime RealtimeClock::next_deadline() {
+  return calendar_.next_event_time().value_or(-1.0);
 }
 
 }  // namespace anu::runtime

@@ -1,48 +1,35 @@
-// anu::Clock against real time: a hashed timer wheel over a TimeSource.
+// anu::Clock against real time: the simulator's calendar, paced by a
+// TimeSource.
 //
 // The decision core's behaviour must not depend on which clock drives it
-// (docs/runtime.md), so this clock reproduces the simulator's dispatch
-// semantics exactly:
+// (docs/runtime.md), so this clock keeps its timers on a sim::Simulation
+// of its own — the same (time, seq) calendar the event kernel runs — and
+// only decides when wall time lets them fire:
 //
 //   * timers fire in strict (deadline, schedule-order) order, one at a
 //     time — a callback that schedules a new timer at its own firing time
-//     sees it run after every earlier-scheduled due timer, just as the
-//     event kernel's (time, seq) calendar guarantees;
+//     sees it run after every earlier-scheduled due timer;
 //   * now() observed inside a callback is the firing timer's deadline, not
 //     the jittery instant the host thread got scheduled — so intervals
 //     computed from now() are exact and tuning rounds land on the same
 //     boundaries as in simulation;
-//   * cancellation is O(1), handle-safe after firing, and generation-
-//     checked against slot reuse — sim::EventHandle's contract.
+//   * handles are the calendar's own: cancellation is O(1), safe after
+//     firing, and generation-checked against slot reuse.
 //
-// Structure: a slab of timers (free-list reuse, generation counters) plus a
-// hashed wheel of kSlots buckets at kTickSeconds granularity. A bucket only
-// ever holds entries of a single absolute tick (entries beyond one wheel
-// revolution wait in an overflow list and migrate in when the wheel wraps),
-// so advancing is: drain bucket, pick due timers in (deadline, seq) order,
-// fire. Single-threaded by design — pump() it from the owning event loop.
+// Single-threaded by design — pump() it from the owning event loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/clock.h"
 #include "runtime/time_source.h"
-
-namespace anu::obs {
-class TraceSink;
-}
+#include "sim/simulation.h"
 
 namespace anu::runtime {
 
 class RealtimeClock final : public anu::Clock {
  public:
-  /// Wheel geometry: 512 slots of 1 ms cover half a second per revolution;
-  /// protocol timers (heartbeats, RTOs, tuning ticks) mostly land within
-  /// one or two revolutions, the rest sit in the overflow list.
-  static constexpr double kTickSeconds = 1e-3;
-  static constexpr std::size_t kSlots = 512;
-
   explicit RealtimeClock(TimeSource& source) : source_(source) {}
 
   /// Inside a firing callback: that timer's deadline. Outside: the source's
@@ -52,8 +39,10 @@ class RealtimeClock final : public anu::Clock {
   /// Deadlines in the past are clamped to now() and fire at the next pump.
   anu::TimerHandle schedule_at(SimTime when, Action action) override;
 
-  [[nodiscard]] obs::TraceSink* trace() const override { return trace_; }
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
+  [[nodiscard]] obs::TraceSink* trace() const override {
+    return calendar_.trace();
+  }
+  void set_trace(obs::TraceSink* trace) { calendar_.set_trace(trace); }
 
   /// Fires every timer whose deadline has been reached, in (deadline, seq)
   /// order; returns the number fired. Call from the event loop whenever it
@@ -62,50 +51,22 @@ class RealtimeClock final : public anu::Clock {
 
   /// Earliest pending deadline, or a negative value when no timer is armed
   /// — the event loop turns this into its poll timeout.
-  [[nodiscard]] SimTime next_deadline() const;
-
-  [[nodiscard]] std::size_t armed_count() const { return armed_; }
+  [[nodiscard]] SimTime next_deadline();
 
  private:
-  struct Timer {
-    SimTime deadline = 0.0;
-    std::uint64_t seq = 0;        // global schedule order, ties on deadline
-    std::uint64_t tick = 0;       // deadline / kTickSeconds, rounded down
-    std::uint32_t generation = 0; // bumped on free; stale handles miss
-    bool armed = false;
-    Action action;
-  };
-
-  /// A wheel-bucket (or overflow) entry; generation-checked against reuse.
-  struct Entry {
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
-  };
-
-  void cancel_timer(std::uint64_t a, std::uint64_t b) override;
+  // Handles come from the calendar, so these only forward to it.
+  void cancel_timer(std::uint64_t a, std::uint64_t b) override {
+    forward_cancel(calendar_, a, b);
+  }
   [[nodiscard]] bool timer_cancelled(std::uint64_t a,
-                                     std::uint64_t b) const override;
-
-  [[nodiscard]] const Timer* live(const Entry& entry) const;
-  void place(std::uint32_t slot);
-  void free_slot(std::uint32_t slot);
-  /// Moves overflow entries whose tick now fits in [cursor, cursor+kSlots).
-  void migrate_overflow();
-  /// Fires due timers within one absolute tick's bucket; returns count.
-  std::size_t drain_tick(std::uint64_t tick, SimTime horizon);
+                                     std::uint64_t b) const override {
+    return forward_cancelled(calendar_, a, b);
+  }
 
   TimeSource& source_;
-  obs::TraceSink* trace_ = nullptr;
-
-  std::vector<Timer> slab_;
-  std::vector<std::uint32_t> free_;
-  std::vector<std::vector<Entry>> wheel_{kSlots};
-  std::vector<Entry> overflow_;
-  std::uint64_t cursor_ = 0;  // next unprocessed absolute tick
-  std::uint64_t next_seq_ = 1;
-  std::size_t armed_ = 0;
-
-  SimTime logical_now_ = 0.0;  // last fired deadline (or pump horizon)
+  /// The timers. Its clock is the last fired deadline, or the last pump's
+  /// horizon.
+  sim::Simulation calendar_;
   bool firing_ = false;
 };
 

@@ -1,12 +1,13 @@
 // Where the realtime clock reads "now" from.
 //
 // RealtimeClock (realtime_clock.h) does not call std::chrono directly; it
-// reads a TimeSource. Production uses SteadyTimeSource (monotonic wall
-// time, zeroed at construction so runtime timestamps look like simulation
-// timestamps). Tests use ManualTimeSource, which advances only when told —
-// that is what lets tests/clock_parity_test.cpp drive the *realtime* clock
-// through a deterministic script and compare its decisions bit-for-bit
-// against the simulator.
+// reads a TimeSource to decide how far its calendar may run. Production
+// uses SteadyTimeSource (monotonic wall time, zeroed at construction so
+// runtime timestamps look like simulation timestamps). Tests use
+// ManualTimeSource, which advances only when told — that is what lets
+// tests/clock_parity_test.cpp pump the *realtime* clock deadline by
+// deadline through a deterministic script, and lets tests hand the event
+// loop a timer that is already due.
 #pragma once
 
 #include <chrono>

@@ -15,9 +15,12 @@
 // and division, both monotone in `time`, so two events never land in
 // buckets that invert their time order; equal times always map to the same
 // bucket; and every bucket is fully sorted by (time, seq) before anything
-// is dequeued from it. The caller (Simulation) guarantees pushes are never
-// earlier than the last pop — the simulator cannot schedule in the past —
-// which is what lets consumed buckets be discarded.
+// is dequeued from it. Pushes are never earlier than the clock — the
+// simulator cannot schedule in the past — which is what lets consumed
+// buckets be discarded. A push may still be earlier than the last pop when
+// Simulation::next_event_time has discarded a cancelled event ahead of the
+// clock: such a key maps to a consumed bucket (bucket order is time order)
+// and is inserted into bottom in order, ahead of everything still queued.
 #pragma once
 
 #include <algorithm>
@@ -53,8 +56,8 @@ struct LadderStats {
 class LadderQueue {
  public:
   /// Inserts an event. `seq` values must be unique; `time` must be
-  /// non-negative (simulation clocks start at zero); pushes must not be
-  /// earlier than the last pop (see the header comment). Inline fast path:
+  /// non-negative (simulation clocks start at zero); a push earlier than
+  /// the last pop joins bottom (see the header comment). Inline fast path:
   /// most pushes are at or beyond the current epoch and append to top.
   void push(SimTime time, std::uint64_t seq, std::uint32_t slot) {
     time += 0.0;  // normalize -0.0: times compare as integer bit patterns

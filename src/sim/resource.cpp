@@ -102,7 +102,7 @@ void FifoResource::start_next() {
   compact();
   const double service = in_flight_.demand / speed_;
   service_start_ = sim_.now();
-  completion_event_ = sim_.schedule_after(service, [this] {
+  completion_event_ = sim_.schedule_at(service_start_ + service, [this] {
     busy_ = false;
     busy_time_ += sim_.now() - service_start_;
     ++completed_;

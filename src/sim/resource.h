@@ -143,7 +143,7 @@ class FifoResource {
   std::size_t head_ = 0;
   Job in_flight_;
   SimTime service_start_ = 0.0;
-  EventHandle completion_event_;
+  anu::TimerHandle completion_event_;
   std::uint64_t completed_ = 0;
   double busy_time_ = 0.0;
 };

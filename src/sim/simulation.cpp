@@ -7,24 +7,7 @@
 
 namespace anu::sim {
 
-void EventHandle::cancel() {
-  if (sim_ == nullptr) return;
-  cancel_requested_ = true;
-  Simulation::Slot& slot = sim_->slot_ref(slot_);
-  // Generation check: only cancel the slot while our event still owns it.
-  // After the event fires the slot is recycled under a new generation, so
-  // a late cancel can never hit the slot's next tenant.
-  if (slot.generation == generation_) slot.cancelled = true;
-}
-
-bool EventHandle::cancelled() const {
-  if (cancel_requested_) return true;
-  if (sim_ == nullptr) return false;
-  const Simulation::Slot& slot = sim_->slot_ref(slot_);
-  return slot.generation == generation_ && slot.cancelled;
-}
-
-EventHandle Simulation::schedule_at(SimTime when, Action action) {
+anu::TimerHandle Simulation::schedule_at(SimTime when, Action action) {
   ANU_REQUIRE(when >= now_);
   ANU_REQUIRE(static_cast<bool>(action));
   const std::uint32_t slot = acquire_slot();
@@ -32,12 +15,32 @@ EventHandle Simulation::schedule_at(SimTime when, Action action) {
   s.action = std::move(action);
   queue_.push(when, next_seq_++, slot);
   if (queue_.size() > max_pending_) max_pending_ = queue_.size();
-  return EventHandle(this, slot, s.generation);
+  return make_handle(slot, s.generation);
 }
 
-EventHandle Simulation::schedule_after(SimTime delay, Action action) {
-  ANU_REQUIRE(delay >= 0.0);
-  return schedule_at(now_ + delay, std::move(action));
+void Simulation::cancel_timer(std::uint64_t slot, std::uint64_t generation) {
+  Slot& s = slot_ref(static_cast<std::uint32_t>(slot));
+  // Generation check: only cancel the slot while our event still owns it.
+  // After the event fires the slot is recycled under a new generation, so
+  // a late cancel can never hit the slot's next tenant.
+  if (s.generation == generation) s.cancelled = true;
+}
+
+bool Simulation::timer_cancelled(std::uint64_t slot,
+                                 std::uint64_t generation) const {
+  const Slot& s = slot_ref(static_cast<std::uint32_t>(slot));
+  return s.generation == generation && s.cancelled;
+}
+
+std::optional<SimTime> Simulation::next_event_time() {
+  while (!queue_.empty()) {
+    const EventKey key = queue_.min();
+    if (!slot_ref(key.slot).cancelled) return key.time;
+    queue_.drop_min();
+    ++cancelled_skipped_;
+    release_slot(key.slot);
+  }
+  return std::nullopt;
 }
 
 std::uint64_t Simulation::run_until(SimTime until) {

@@ -3,15 +3,18 @@
 // A from-scratch replacement for the YACSIM toolkit the paper used (§5.1):
 // an event calendar ordered by (time, insertion sequence) — the sequence
 // number gives deterministic FIFO semantics for simultaneous events — plus a
-// simulation clock and cancellable event handles. Higher layers (FIFO
-// queueing resources, the cluster model, and through sim::SimClock the
-// periodic timers of common/clock.h) are built on exactly this interface.
+// simulation clock and cancellable event handles. Simulation is itself an
+// anu::Clock (common/clock.h), so the protocol and the periodic timers run
+// on it directly, and runtime::RealtimeClock keeps its timers on one too:
+// this calendar is the only timer calendar in the tree. Higher layers (FIFO
+// queueing resources, the cluster model) are built on exactly this
+// interface.
 //
 // The calendar is a ladder queue (event_queue.h): O(1) amortized
 // schedule/dispatch versus the O(log n) sift of a binary heap, with only
 // the bucket nearest the clock ever sorted. Event payloads live in a
 // free-listed slab inside the Simulation: scheduling reuses slots instead
-// of allocating, an EventHandle is a generation-checked {slot, generation}
+// of allocating, a handle is a generation-checked {slot, generation}
 // ticket (no shared_ptr control block per event), and Action is a
 // small-buffer-optimized callable (common/small_function.h) whose 48-byte
 // inline buffer covers every capture in the tree — steady-state dispatch
@@ -20,54 +23,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "common/small_function.h"
+#include "common/clock.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
 
-namespace anu::obs {
-class TraceSink;
-}
-
 namespace anu::sim {
-
-class Simulation;
-class SimClock;
-
-/// Cancellable handle to a scheduled event. Copyable; cancelling any copy
-/// cancels the event. Safe to destroy before or after the event fires; all
-/// operations are O(1) and allocation-free. The owning Simulation must
-/// outlive any use of cancel()/cancelled() — which holds throughout the
-/// tree, since handles live in objects that hold the Simulation by
-/// reference.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Prevents the event from firing. Idempotent; no-op after it fired.
-  void cancel();
-  [[nodiscard]] bool cancelled() const;
-  [[nodiscard]] bool valid() const { return sim_ != nullptr; }
-
- private:
-  friend class Simulation;
-  // The anu::Clock adapter packs {slot_, generation_} into its opaque
-  // handle words and reconstructs EventHandles to cancel through.
-  friend class SimClock;
-  EventHandle(Simulation* sim, std::uint32_t slot, std::uint32_t generation)
-      : sim_(sim), slot_(slot), generation_(generation) {}
-
-  Simulation* sim_ = nullptr;
-  std::uint32_t slot_ = 0;
-  /// Slab generation at scheduling time. A slot's generation bumps when
-  /// the event fires (or is skipped) and the slot is recycled, so a stale
-  /// handle can never cancel the slot's next tenant.
-  std::uint32_t generation_ = 0;
-  /// Remembers a cancel() issued through this handle so cancelled() stays
-  /// true after the slot is recycled (the old shared-flag behavior).
-  bool cancel_requested_ = false;
-};
 
 /// Kernel counters for one run, surfaced as the "sim.queue" block of the
 /// run manifest (driver/telemetry). Cheap to maintain — a handful of adds
@@ -92,26 +55,19 @@ struct SimQueueStats {
 };
 
 /// The event calendar + clock. Single-threaded by design: one Simulation per
-/// experiment; parallel sweeps run many independent Simulations.
-class Simulation {
+/// experiment; parallel sweeps run many independent Simulations. `final`,
+/// so every call made through a Simulation& binds statically — the kernel's
+/// hot path never goes through the Clock vtable.
+class Simulation final : public anu::Clock {
  public:
-  /// Scheduled callback. Move-only, with a 48-byte inline buffer — every
-  /// capture in sim/, proto/ and driver/ fits, so scheduling never
-  /// allocates for the callable; larger captures fall back to the heap.
-  using Action = SmallFunction<void(), 48>;
-
-  Simulation() = default;
-  Simulation(const Simulation&) = delete;
-  Simulation& operator=(const Simulation&) = delete;
-
   /// Current simulated time (seconds).
-  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] SimTime now() const override { return now_; }
 
-  /// Schedules `action` to run at absolute time `when` (>= now()).
-  EventHandle schedule_at(SimTime when, Action action);
-
-  /// Schedules `action` after `delay` (>= 0) simulated seconds.
-  EventHandle schedule_after(SimTime delay, Action action);
+  /// Schedules `action` to run at absolute time `when` (>= now()). The
+  /// handle's words are the event's {slot, generation} ticket: a slot's
+  /// generation bumps when its event fires (or is skipped) and the slot is
+  /// recycled, so a stale handle can never cancel the slot's next tenant.
+  anu::TimerHandle schedule_at(SimTime when, Action action) override;
 
   /// Runs events until the calendar empties or the clock passes `until`.
   /// Events at exactly `until` are executed. Returns events executed.
@@ -121,6 +77,12 @@ class Simulation {
 
   /// Runs until the calendar is empty.
   std::uint64_t run_to_completion();
+
+  /// Time of the earliest event still due to fire, or nullopt when none
+  /// is. Cancelled events at the head of the calendar are discarded on the
+  /// way, exactly as run_until discards them (they count in
+  /// cancelled_skipped). Fires nothing and leaves the clock where it is.
+  [[nodiscard]] std::optional<SimTime> next_event_time();
 
   /// Requests that the run loop stop after the current event returns. A
   /// request made outside a run halts the next run_until before its first
@@ -140,10 +102,12 @@ class Simulation {
   ///   if (auto* t = sim.trace()) t->emit(...);
   /// The kernel itself never emits — event dispatch stays untraced.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-  [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
+  [[nodiscard]] obs::TraceSink* trace() const override { return trace_; }
 
  private:
-  friend class EventHandle;
+  void cancel_timer(std::uint64_t slot, std::uint64_t generation) override;
+  [[nodiscard]] bool timer_cancelled(std::uint64_t slot,
+                                     std::uint64_t generation) const override;
 
   /// One slab slot: the event payload plus free-list and cancellation
   /// bookkeeping. Slots are recycled LIFO through free_head_.

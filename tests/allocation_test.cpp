@@ -10,7 +10,13 @@
 // plain data; what remains is growth to a new high-water mark and
 // per-round work: tuning results, and under the message protocol each
 // round's messages and region maps.
+//
+// The live runtime's event loop is held to a stricter bound: once warm, an
+// iteration that polls a readable fd and fires a due timer allocates
+// nothing.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstddef>
@@ -25,6 +31,9 @@
 #include "driver/paper.h"
 #include "driver/protocol_experiment.h"
 #include "faults/fault_plan.h"
+#include "runtime/event_loop.h"
+#include "runtime/realtime_clock.h"
+#include "runtime/time_source.h"
 
 namespace {
 
@@ -163,3 +172,41 @@ TEST(Allocation, ProtocolRunAllocatesLessThanOncePerRequest) {
 
 }  // namespace
 }  // namespace anu::driver
+
+namespace anu::runtime {
+namespace {
+
+TEST(Allocation, EventLoopIterationAllocatesNothing) {
+  ManualTimeSource source;
+  RealtimeClock clock(source);
+  EventLoop loop(clock);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  std::uint64_t reads = 0;
+  loop.add_fd(fds[0], [&] {
+    char byte = 0;
+    if (::read(fds[0], &byte, 1) == 1) ++reads;
+  });
+  PeriodicTimer timer(clock, 1e-3, [](SimTime) {});
+
+  // Each iteration: one readable fd and one due timer.
+  const auto iterate = [&] {
+    const char byte = 'x';
+    ASSERT_EQ(::write(fds[1], &byte, 1), 1);
+    source.advance_by(1e-3);
+    loop.run_once(0.0);
+  };
+  for (int i = 0; i < 16; ++i) iterate();  // warm the calendar's storage
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 1000; ++i) iterate();
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(reads, 1016u);
+  EXPECT_EQ(timer.ticks_fired(), 1016u);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+}  // namespace
+}  // namespace anu::runtime

@@ -23,6 +23,7 @@ EXPECTED_RULES = [
     "[unordered-iter]",
     "[ptr-key-container]",
     "[pool-order]",
+    "[layering]",
     "[bare-allow]",
     "[test-registration]",
     "[baseline-missing]",
@@ -60,6 +61,15 @@ def main() -> int:
         )
     if "uses_wallclock.cpp:7" not in out or "uses_wallclock.cpp:8" not in out:
         failures.append(f"bad_tree: wall-clock lines not both flagged\n{out}")
+    # Include paths are string literals, which the code matcher blanks: the
+    # pool-order include and the layering include must be read off the raw
+    # line, while a commented-out include stays ignored.
+    if "uses_pool.cpp:4" not in out or "uses_pool.cpp:7" not in out:
+        failures.append(f"bad_tree: pool include and call not both flagged\n{out}")
+    layering = [line for line in out.splitlines() if "[layering]" in line]
+    if len(layering) != 1 or "uses_sim.cpp:6" not in layering[0]:
+        failures.append(
+            f"bad_tree: expected one [layering] finding at uses_sim.cpp:6\n{out}")
     # The clock seam's directory policy: src/core must stay wall-clock-free
     # even for the "harmless" steady clock, while src/runtime (whose job is
     # real time) is exempt from wall-clock but still linted by every other

@@ -3,11 +3,13 @@
 // decisions as the same protocol driven by the discrete-event simulator.
 //
 // Both sides run identical clusters over the deterministic proto::Network
-// (same seeds, same latency model); the realtime side's clock reads a
-// ManualTimeSource that a test driver advances deadline-by-deadline — so
-// "wall time" is a script, and any divergence in dispatch order between
-// the event kernel's (time, seq) calendar and the timer wheel shows up as
-// differing map versions, partition tables, or routing answers.
+// (same seeds, same latency model). Both keep their timers on the same
+// kind of calendar — the realtime clock fires a sim::Simulation of its
+// own — so what this guards is the wall-time wrapper around it: the
+// realtime side's clock reads a ManualTimeSource that a test driver
+// advances deadline-by-deadline, and any slip in its logical now, its
+// clamping of past deadlines, or its pumping shows up as differing map
+// versions, partition tables, or routing answers.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,7 +20,6 @@
 #include "proto/protocol.h"
 #include "runtime/realtime_clock.h"
 #include "runtime/time_source.h"
-#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu {
@@ -56,14 +57,13 @@ void run_virtual_until(runtime::RealtimeClock& clock,
 
 struct SimSide {
   sim::Simulation sim;
-  sim::SimClock clock{sim};
   proto::Network net;
   proto::ProtocolCluster cluster;
 
   SimSide(std::size_t servers, const std::vector<double>& speeds,
           const proto::ProtocolConfig& config)
-      : net(clock, proto::NetworkConfig{}, servers),
-        cluster(clock, net, config, servers, speeds_model(speeds)) {
+      : net(sim, proto::NetworkConfig{}, servers),
+        cluster(sim, net, config, servers, speeds_model(speeds)) {
     cluster.register_file_sets(file_set_names());
   }
 
@@ -163,7 +163,7 @@ TEST(ClockParity, FailureAndRecoveryAreIdentical) {
     clock.schedule_at(95.1, [&cluster] { cluster.fail_server(0); });
     clock.schedule_at(215.7, [&cluster] { cluster.recover_server(0); });
   };
-  script(sim_side.clock, sim_side.cluster);
+  script(sim_side.sim, sim_side.cluster);
   script(real_side.clock, real_side.cluster);
 
   for (int round = 1; round <= 10; ++round) {

@@ -1,9 +1,9 @@
 // Tests for the clock seam (common/clock.h): TimerHandle semantics,
-// PeriodicTimer on either implementation, and the realtime timer wheel's
-// sim-equivalent dispatch order (runtime/realtime_clock.h). The cross-
-// implementation behavioural guarantee — same protocol decisions on either
-// clock — is tests/clock_parity_test.cpp; this file pins the per-clock
-// mechanics those guarantees rest on.
+// PeriodicTimer on either implementation, and the realtime clock's
+// dispatch order, logical now and clamping (runtime/realtime_clock.h). The
+// cross-implementation behavioural guarantee — same protocol decisions on
+// either clock — is tests/clock_parity_test.cpp; this file pins the
+// per-clock mechanics those guarantees rest on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "common/clock.h"
 #include "runtime/realtime_clock.h"
 #include "runtime/time_source.h"
-#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu {
@@ -30,9 +29,8 @@ TEST(TimerHandle, DefaultIsInvalidAndInert) {
 
 TEST(TimerHandle, CopyCancelsTheSameTimer) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   int fired = 0;
-  TimerHandle original = clock.schedule_at(1.0, [&] { ++fired; });
+  TimerHandle original = sim.schedule_at(1.0, [&] { ++fired; });
   TimerHandle copy = original;
   copy.cancel();
   // Both copies observe the cancellation while the timer is pending. (After
@@ -49,9 +47,8 @@ TEST(TimerHandle, CopyCancelsTheSameTimer) {
 
 TEST(PeriodicTimer, FirstTickAtIntervalThenEveryInterval) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   std::vector<SimTime> ticks;
-  PeriodicTimer timer(clock, 2.0, [&](SimTime now) { ticks.push_back(now); });
+  PeriodicTimer timer(sim, 2.0, [&](SimTime now) { ticks.push_back(now); });
   sim.run_until(7.0);
   ASSERT_EQ(ticks.size(), 3u);
   EXPECT_DOUBLE_EQ(ticks[0], 2.0);
@@ -62,9 +59,8 @@ TEST(PeriodicTimer, FirstTickAtIntervalThenEveryInterval) {
 
 TEST(PeriodicTimer, StopFromInsideTickWins) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   int fired = 0;
-  PeriodicTimer timer(clock, 1.0, [&](SimTime) {
+  PeriodicTimer timer(sim, 1.0, [&](SimTime) {
     ++fired;
     timer.stop();  // re-arm happened first, but stop must still win
   });
@@ -90,7 +86,7 @@ TEST(RealtimeClock, FiresInDeadlineOrderAcrossBuckets) {
   runtime::ManualTimeSource source;
   runtime::RealtimeClock clock(source);
   std::vector<std::string> order;
-  // Schedule out of order, spanning several wheel buckets.
+  // Schedule out of order, 10 ms apart.
   clock.schedule_at(0.030, [&] { order.push_back("c"); });
   clock.schedule_at(0.010, [&] { order.push_back("a"); });
   clock.schedule_at(0.020, [&] { order.push_back("b"); });
@@ -175,9 +171,9 @@ TEST(RealtimeClock, CancelPreventsFiring) {
   runtime::RealtimeClock clock(source);
   int fired = 0;
   TimerHandle handle = clock.schedule_at(0.010, [&] { ++fired; });
-  EXPECT_EQ(clock.armed_count(), 1u);
+  EXPECT_DOUBLE_EQ(clock.next_deadline(), 0.010);
   handle.cancel();
-  EXPECT_EQ(clock.armed_count(), 0u);
+  EXPECT_LT(clock.next_deadline(), 0.0);
   source.advance_to(0.100);
   EXPECT_EQ(clock.pump(), 0u);
   EXPECT_EQ(fired, 0);
@@ -213,19 +209,19 @@ TEST(RealtimeClock, CancelFromCallbackStopsDueSibling) {
   EXPECT_EQ(cancelled_fired, 0);
 }
 
-// --- RealtimeClock wheel mechanics ------------------------------------------
+// --- RealtimeClock far-future deadlines -------------------------------------
 
 TEST(RealtimeClock, OverflowTimersMigrateAndFire) {
   runtime::ManualTimeSource source;
   runtime::RealtimeClock clock(source);
-  // 2.0 s is ~2000 ticks: several wheel revolutions out, so it starts in
-  // the overflow list and must migrate in as the cursor wraps.
+  // 2.0 s is far beyond the first pump's horizon: the far timer must wait
+  // in the calendar through that pump and fire at the next one.
   std::vector<std::string> order;
   clock.schedule_at(2.0, [&] { order.push_back("far"); });
   clock.schedule_at(0.1, [&] { order.push_back("near"); });
   source.advance_to(1.0);
   EXPECT_EQ(clock.pump(), 1u);
-  EXPECT_EQ(clock.armed_count(), 1u);
+  EXPECT_DOUBLE_EQ(clock.next_deadline(), 2.0);
   source.advance_to(3.0);
   EXPECT_EQ(clock.pump(), 1u);
   EXPECT_EQ(order, (std::vector<std::string>{"near", "far"}));
@@ -252,8 +248,8 @@ TEST(RealtimeClock, IdlePumpAfterLongGapIsCheap) {
   clock.schedule_at(0.010, [&] { ++fired; });
   source.advance_to(0.020);
   clock.pump();
-  // Hours of idle wall time: the armed_ == 0 fast path must jump the
-  // cursor instead of walking millions of empty ticks.
+  // Hours of idle wall time: an empty calendar pumps straight to the new
+  // horizon, with nothing to fire on the way.
   source.advance_to(3600.0);
   EXPECT_EQ(clock.pump(), 0u);
   // And a timer scheduled afterwards still fires normally.
@@ -267,14 +263,14 @@ TEST(RealtimeClock, ManyTimersDenseAndSparse) {
   runtime::ManualTimeSource source;
   runtime::RealtimeClock clock(source);
   std::vector<SimTime> fired;
-  // A mix of deadlines inside one revolution and far beyond it.
+  // A mix of deadlines a few milliseconds apart and far beyond them.
   for (int i = 0; i < 100; ++i) {
     const SimTime when = 0.001 * (i % 7) + 0.3 * (i % 3) + 0.05;
     clock.schedule_at(when, [&fired, &clock] { fired.push_back(clock.now()); });
   }
   source.advance_to(2.0);
   EXPECT_EQ(clock.pump(), 100u);
-  EXPECT_EQ(clock.armed_count(), 0u);
+  EXPECT_LT(clock.next_deadline(), 0.0);
   for (std::size_t i = 1; i < fired.size(); ++i) {
     EXPECT_LE(fired[i - 1], fired[i]) << "out-of-order firing at " << i;
   }

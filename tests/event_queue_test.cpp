@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -166,15 +167,7 @@ class ModelSim {
   std::vector<std::pair<std::uint32_t, SimTime>> run_until(SimTime until) {
     std::vector<std::pair<std::uint32_t, SimTime>> fired;
     for (;;) {
-      std::size_t best = events_.size();
-      for (std::size_t i = 0; i < events_.size(); ++i) {
-        if (best == events_.size() ||
-            events_[i].time < events_[best].time ||
-            (events_[i].time == events_[best].time &&
-             events_[i].seq < events_[best].seq)) {
-          best = i;
-        }
-      }
+      const std::size_t best = min_index();
       if (best == events_.size()) break;
       if (events_[best].time > until) break;
       const ModelEvent ev = events_[best];
@@ -201,6 +194,18 @@ class ModelSim {
     return fired;
   }
 
+  /// Matches Simulation::next_event_time: the earliest live event's time,
+  /// discarding (and counting) cancelled events ahead of it.
+  std::optional<SimTime> next_event_time() {
+    for (;;) {
+      const std::size_t best = min_index();
+      if (best == events_.size()) return std::nullopt;
+      if (!events_[best].cancelled) return events_[best].time;
+      events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(best));
+      ++cancelled_skipped_;
+    }
+  }
+
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return events_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -209,6 +214,19 @@ class ModelSim {
   }
 
  private:
+  /// Index of the (time, seq)-minimal pending event; size() when none.
+  [[nodiscard]] std::size_t min_index() const {
+    std::size_t best = events_.size();
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      if (best == events_.size() || events_[i].time < events_[best].time ||
+          (events_[i].time == events_[best].time &&
+           events_[i].seq < events_[best].seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
   std::vector<ModelEvent> events_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -236,14 +254,17 @@ std::vector<std::pair<SimTime, std::uint32_t>> spawn_children(
   return out;
 }
 
-void run_differential_fuzz(std::uint64_t seed) {
+/// With `peek`, each phase also asks both sides for the next event time
+/// before running, so cancelled heads are discarded ahead of the clock and
+/// later pushes can land earlier than the last pop.
+void run_differential_fuzz(std::uint64_t seed, bool peek = false) {
   Xoshiro256 rng(seed);
   Simulation sim;
   ModelSim model;
 
   std::vector<std::pair<std::uint32_t, SimTime>> sim_fired;
   // Handles for cancellation, parallel arrays on both sides.
-  std::vector<EventHandle> handles;
+  std::vector<TimerHandle> handles;
   std::vector<std::uint64_t> model_seqs;
 
   // In-callback behavior: record the firing, then schedule this id's
@@ -296,6 +317,11 @@ void run_differential_fuzz(std::uint64_t seed) {
     } else {
       until = sim.now() + rng.next_double() * 2e4;
     }
+    if (peek) {
+      ASSERT_EQ(sim.next_event_time(), model.next_event_time())
+          << "seed " << seed;
+      ASSERT_EQ(sim.pending_events(), model.pending()) << "seed " << seed;
+    }
     sim_fired.clear();
     sim.run_until(until);
     const auto model_fired = model.run_until(until);
@@ -318,6 +344,13 @@ void run_differential_fuzz(std::uint64_t seed) {
 TEST(SimulationDifferentialFuzz, MatchesReferenceModelAcross64Seeds) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     run_differential_fuzz(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SimulationDifferentialFuzz, NextEventTimeMatchesReferenceModel) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    run_differential_fuzz(seed, /*peek=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "proto/network.h"
-#include "sim/sim_clock.h"
 #include "sim/simulation.h"
 
 namespace anu::faults {
@@ -148,8 +147,7 @@ proto::NetworkConfig quiet_network() {
 
 TEST(NetworkFaults, EndpointDownChargesNoBytes) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  proto::Network net(clock, quiet_network(), 2);
+  proto::Network net(sim, quiet_network(), 2);
   net.attach(0, [](std::uint32_t, const proto::Message&) {});
   net.attach(1, [](std::uint32_t, const proto::Message&) {});
   net.set_node_up(1, false);
@@ -164,8 +162,7 @@ TEST(NetworkFaults, EndpointDownChargesNoBytes) {
 
 TEST(NetworkFaults, InjectedLossChargesBytes) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  proto::Network net(clock, quiet_network(), 2);
+  proto::Network net(sim, quiet_network(), 2);
   net.attach(0, [](std::uint32_t, const proto::Message&) {});
   std::uint64_t received = 0;
   net.attach(1, [&](std::uint32_t, const proto::Message&) { ++received; });
@@ -188,8 +185,7 @@ TEST(NetworkFaults, InjectedLossChargesBytes) {
 
 TEST(NetworkFaults, PartitionDropChargesNothing) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  proto::Network net(clock, quiet_network(), 3);
+  proto::Network net(sim, quiet_network(), 3);
   for (std::uint32_t n = 0; n < 3; ++n) {
     net.attach(n, [](std::uint32_t, const proto::Message&) {});
   }
@@ -209,8 +205,7 @@ TEST(NetworkFaults, PartitionDropChargesNothing) {
 
 TEST(NetworkFaults, DuplicationDeliversTwiceAndChargesTwice) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  proto::Network net(clock, quiet_network(), 2);
+  proto::Network net(sim, quiet_network(), 2);
   net.attach(0, [](std::uint32_t, const proto::Message&) {});
   std::uint64_t received = 0;
   net.attach(1, [&](std::uint32_t, const proto::Message&) { ++received; });
@@ -231,8 +226,7 @@ TEST(NetworkFaults, DuplicationDeliversTwiceAndChargesTwice) {
 
 TEST(NetworkFaults, ReceiverFailingMidFlightIsEndpointDrop) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  proto::Network net(clock, quiet_network(), 2);
+  proto::Network net(sim, quiet_network(), 2);
   net.attach(0, [](std::uint32_t, const proto::Message&) {});
   net.attach(1, [](std::uint32_t, const proto::Message&) {});
   net.send(0, 1, proto::Heartbeat{0});

@@ -18,7 +18,7 @@
 #include "core/tuner.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
-#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 namespace anu {
 namespace {
@@ -81,13 +81,12 @@ TEST_P(PlacementParity, OneScriptGivesOneMapAndOneRoute) {
   // A clean network and oracle membership: every report reaches the
   // delegate, which receives an idle report where the script has none.
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  proto::Network network(clock, proto::NetworkConfig{}, servers);
+  proto::Network network(sim, proto::NetworkConfig{}, servers);
   proto::ProtocolConfig proto_config;
   proto_config.tuner = tuner;
   std::size_t round = 0;
   proto::ProtocolCluster protocol(
-      clock, network, proto_config, servers,
+      sim, network, proto_config, servers,
       [&](std::uint32_t s, UnitPoint) {
         return script[round][s].value_or(balance::ServerReport{0.0, 0});
       });

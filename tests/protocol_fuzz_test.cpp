@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
-#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 namespace anu::proto {
 namespace {
@@ -18,12 +18,11 @@ TEST_P(ProtocolFuzzTest, SurvivorsConvergeAfterChurn) {
   const std::size_t servers = 3 + rng.next_below(6);  // 3..8
 
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   NetworkConfig net_config;
   net_config.base_delay = 0.001 + rng.next_double() * 0.05;
   net_config.jitter = rng.next_double() * 0.5;
   net_config.seed = GetParam();
-  Network net(clock, net_config, servers);
+  Network net(sim, net_config, servers);
 
   ProtocolConfig config;
   config.use_heartbeats = rng.next_below(2) == 0;
@@ -31,7 +30,7 @@ TEST_P(ProtocolFuzzTest, SurvivorsConvergeAfterChurn) {
   std::vector<double> speeds(servers);
   for (auto& s : speeds) s = 1.0 + static_cast<double>(rng.next_below(9));
   ProtocolCluster cluster(
-      clock, net, config, servers, [&speeds](std::uint32_t s, UnitPoint share) {
+      sim, net, config, servers, [&speeds](std::uint32_t s, UnitPoint share) {
         return balance::ServerReport{
             share.to_double() / speeds[s] * 50.0 + 1e-6,
             static_cast<std::size_t>(share.to_double() * 5e3) + 1};

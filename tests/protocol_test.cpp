@@ -12,7 +12,7 @@
 #include "hash/hash_family.h"
 #include "proto/network.h"
 #include "proto/protocol.h"
-#include "sim/sim_clock.h"
+#include "sim/simulation.h"
 
 namespace anu::proto {
 namespace {
@@ -21,11 +21,10 @@ namespace {
 
 TEST(Network, DeliversAfterDelay) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   NetworkConfig config;
   config.base_delay = 0.01;
   config.jitter = 0.0;
-  Network net(clock, config, 2);
+  Network net(sim, config, 2);
   double delivered_at = -1.0;
   net.attach(1, [&](std::uint32_t from, const Message&) {
     EXPECT_EQ(from, 0u);
@@ -39,8 +38,7 @@ TEST(Network, DeliversAfterDelay) {
 
 TEST(Network, DropsToDownNode) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  Network net(clock, NetworkConfig{}, 2);
+  Network net(sim, NetworkConfig{}, 2);
   int received = 0;
   net.attach(1, [&](std::uint32_t, const Message&) { ++received; });
   net.set_node_up(1, false);
@@ -52,10 +50,9 @@ TEST(Network, DropsToDownNode) {
 
 TEST(Network, DropsInFlightWhenReceiverFails) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   NetworkConfig config;
   config.base_delay = 1.0;
-  Network net(clock, config, 2);
+  Network net(sim, config, 2);
   int received = 0;
   net.attach(1, [&](std::uint32_t, const Message&) { ++received; });
   net.send(0, 1, ShedNotice{});
@@ -66,8 +63,7 @@ TEST(Network, DropsInFlightWhenReceiverFails) {
 
 TEST(Network, BroadcastReachesAllOthers) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  Network net(clock, NetworkConfig{}, 4);
+  Network net(sim, NetworkConfig{}, 4);
   int received = 0;
   for (std::uint32_t n = 0; n < 4; ++n) {
     net.attach(n, [&](std::uint32_t, const Message&) { ++received; });
@@ -79,8 +75,7 @@ TEST(Network, BroadcastReachesAllOthers) {
 
 TEST(Network, AccountsBytes) {
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  Network net(clock, NetworkConfig{}, 2);
+  Network net(sim, NetworkConfig{}, 2);
   net.attach(1, [](std::uint32_t, const Message&) {});
   RegionMapUpdate update;
   update.partitions.resize(16);
@@ -92,15 +87,14 @@ TEST(Network, AccountsBytes) {
 
 struct ProtoHarness {
   sim::Simulation sim;
-  sim::SimClock clock{sim};
   Network net;
   ProtocolCluster cluster;
 
   explicit ProtoHarness(std::size_t servers,
                         const std::vector<double>& speeds,
                         ProtocolConfig config = {})
-      : net(clock, NetworkConfig{}, servers),
-        cluster(clock, net, config, servers,
+      : net(sim, NetworkConfig{}, servers),
+        cluster(sim, net, config, servers,
                 [speeds](std::uint32_t s, UnitPoint share) {
                   // Data-plane model: latency proportional to share over
                   // speed; completions proportional to share.
@@ -188,16 +182,15 @@ TEST(Protocol, SlowNetworkStillConverges) {
   // Half a second of one-way delay (WAN-grade for a LAN protocol): rounds
   // still complete because the grace window waits out stragglers.
   sim::Simulation sim;
-  sim::SimClock clock(sim);
   NetworkConfig net_config;
   net_config.base_delay = 0.5;
   net_config.jitter = 0.3;
-  Network net(clock, net_config, 3);
+  Network net(sim, net_config, 3);
   ProtocolConfig config;
   config.report_grace = 2.0;
   const std::vector<double> speeds{1.0, 4.0, 8.0};
   ProtocolCluster cluster(
-      clock, net, config, 3, [&](std::uint32_t s, UnitPoint share) {
+      sim, net, config, 3, [&](std::uint32_t s, UnitPoint share) {
         return balance::ServerReport{share.to_double() / speeds[s] + 1e-6,
                                      100};
       });
@@ -335,8 +328,7 @@ TEST(OwnerTable, RoutesAndShedsMatchTheProbeLoopUnderFaults) {
   constexpr int kRounds = 16;
   const std::vector<double> speeds{1.0, 3.0, 5.0, 7.0, 9.0, 1.0, 3.0, 5.0};
   sim::Simulation sim;
-  sim::SimClock clock(sim);
-  Network net(clock, NetworkConfig{}, kServers);
+  Network net(sim, NetworkConfig{}, kServers);
   faults::FaultPlanConfig fault_config;
   fault_config.loss = 0.10;
   fault_config.duplicate = 0.10;
@@ -345,7 +337,7 @@ TEST(OwnerTable, RoutesAndShedsMatchTheProbeLoopUnderFaults) {
   ObservedTransport transport(net);
   ProtocolConfig config = heartbeat_config();
   ProtocolCluster cluster(
-      clock, transport, config, kServers,
+      sim, transport, config, kServers,
       [&speeds](std::uint32_t s, UnitPoint share) {
         return balance::ServerReport{
             share.to_double() / speeds[s] * 100.0 + 1e-6,

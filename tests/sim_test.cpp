@@ -1,6 +1,7 @@
 // Tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/resource.h"
@@ -129,7 +130,7 @@ TEST(Simulation, SelfCancelDuringInvokeDoesNotLeakToNextTenant) {
   // recycled immediately afterwards; the flag must not carry over and
   // silently cancel the slot's next tenant.
   Simulation sim;
-  EventHandle self;
+  TimerHandle self;
   int fired = 0;
   self = sim.schedule_at(1.0, [&] { self.cancel(); });
   sim.run_to_completion();
@@ -150,7 +151,7 @@ TEST(Simulation, SlabSlotsAreRecycled) {
 
 TEST(Simulation, QueueStatsAreConsistent) {
   Simulation sim;
-  std::vector<EventHandle> handles;
+  std::vector<TimerHandle> handles;
   for (int i = 0; i < 100; ++i) {
     handles.push_back(sim.schedule_at(static_cast<double>(i % 10), [] {}));
   }
@@ -168,6 +169,41 @@ TEST(Simulation, QueueStatsAreConsistent) {
   // all ten of their events live after the even-index cancellations.
   EXPECT_EQ(stats.max_simultaneous, 10u);
   EXPECT_EQ(stats.executed + stats.cancelled_skipped, stats.scheduled);
+}
+
+TEST(Simulation, NextEventTimeSkipsCancelledHead) {
+  Simulation sim;
+  EXPECT_EQ(sim.next_event_time(), std::nullopt);  // empty calendar
+
+  TimerHandle first = sim.schedule_at(1.0, [] {});
+  TimerHandle second = sim.schedule_at(2.0, [] {});
+  int fired = 0;
+  sim.schedule_at(3.0, [&] { ++fired; });
+  first.cancel();
+  second.cancel();
+  // The earliest live event, found past two cancelled heads, which are
+  // discarded and counted as run_until would; the clock stays put.
+  EXPECT_EQ(sim.next_event_time(), std::optional<SimTime>(3.0));
+  EXPECT_EQ(sim.now(), 0.0);
+  SimQueueStats stats = sim.queue_stats();
+  EXPECT_EQ(stats.cancelled_skipped, 2u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(stats.scheduled,
+            stats.executed + stats.cancelled_skipped + sim.pending_events());
+
+  sim.run_to_completion();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.next_event_time(), std::nullopt);
+
+  // Every pending event cancelled: nothing is due, and the calendar drains.
+  TimerHandle last = sim.schedule_at(4.0, [] {});
+  last.cancel();
+  EXPECT_EQ(sim.next_event_time(), std::nullopt);
+  stats = sim.queue_stats();
+  EXPECT_EQ(stats.cancelled_skipped, 3u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(stats.scheduled,
+            stats.executed + stats.cancelled_skipped + sim.pending_events());
 }
 
 TEST(Simulation, LargeSimultaneousBatchStaysFifo) {

@@ -23,6 +23,10 @@ src/proto, src/balance, src/driver):
                    must go through driver::run_parallel/run_indexed, whose
                    pre-sized-slot contract makes results independent of
                    completion order.
+  layering         src/core or src/proto including from sim/, cluster/,
+                   driver/ or runtime/ — the decision core and the protocol
+                   see only anu::Clock and proto::Transport, so they run
+                   under the simulator and the live runtime alike.
 
 Plus two cross-checks that keep the test and bench plumbing honest:
 
@@ -62,6 +66,11 @@ RESULT_DIRS = (
 # allows (seeded RNG, ordered iteration, no ad-hoc pools).
 RUNTIME_DIRS = ("src/runtime",)
 
+# The decision core and the protocol are driven through anu::Clock and
+# proto::Transport; they may not include the layers that drive them.
+LAYERED_DIRS = ("src/core/", "src/proto/")
+DRIVER_INCLUDES = ("sim/", "cluster/", "driver/", "runtime/")
+
 # Files allowed to touch the thread pool directly: the sanctioned wrappers
 # whose contract (pre-sized result slots, sequential aggregation) is what
 # makes pool use deterministic for everyone else.
@@ -73,7 +82,7 @@ SOURCE_RULES: list[tuple[str, re.Pattern[str], str]] = [
         re.compile(
             # clock() and time() are matched as calls with zero / one-ish
             # args so declarations of variables *named* clock (e.g.
-            # `sim::SimClock clock(sim);`) do not false-positive.
+            # `runtime::RealtimeClock clock(source);`) do not false-positive.
             r"std::chrono::(?:system|steady|high_resolution)_clock"
             r"|\btime\s*\(|\bclock\s*\(\s*\)|\bgettimeofday\b"
             r"|\bclock_gettime\b|\blocaltime\b|\bgmtime\b"
@@ -98,6 +107,7 @@ UNORDERED_DECL_RE = re.compile(
 # Range-for only: the colon must not be part of `::`, and a classic
 # three-clause for (which contains `;`) is rejected after the match.
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?(?<!:):(?!:)\s*([^)]+)\)")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
 ALLOW_RE = re.compile(r"anu-lint:\s*allow\(([\w-]+)\)\s*(.*)")
 
 
@@ -183,6 +193,21 @@ def strip_code(text: str) -> list[str]:
     return out
 
 
+def includes(raw_lines: list[str], code_lines: list[str]
+             ) -> list[tuple[int, str]]:
+    """(line, path) of every #include directive.
+
+    strip_code blanks string literals, so the path is read from the raw
+    line; the stripped line confirms the directive is code, not a comment.
+    """
+    found = []
+    for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
+        m = INCLUDE_RE.match(raw)
+        if m and code.lstrip().startswith("#"):
+            found.append((lineno, m.group(1)))
+    return found
+
+
 def suppressions(raw_lines: list[str], findings: list[Finding]) -> list[Finding]:
     """Applies `// anu-lint: allow(rule) reason` to same/next-line findings."""
     allowed: dict[int, set[str]] = {}
@@ -251,21 +276,39 @@ def lint_source_file(path: Path, skip_rules: frozenset[str] = frozenset()
     if "src" in parts:  # path under the linted tree's src/ (last occurrence)
         idx = len(parts) - 1 - parts[::-1].index("src")
         rel = "/".join(parts[idx:])
+    directives = includes(raw_lines, code_lines)
     if rel not in POOL_ALLOWLIST:
         # Only the type and its header: method-name matching (e.g. .submit)
         # would misfire on cluster::Cluster::submit, the simulated dispatch
         # path. You cannot reach a pool without naming ThreadPool somewhere
         # in the translation unit.
-        for lineno, line in enumerate(code_lines, 1):
-            if re.search(r'#\s*include\s*"common/thread_pool\.h"', line) or \
-               re.search(r"\bThreadPool\b", line):
+        pool_lines = {
+            n for n, inc in directives if inc == "common/thread_pool.h"
+        }
+        pool_lines.update(
+            n for n, line in enumerate(code_lines, 1)
+            if re.search(r"\bThreadPool\b", line)
+        )
+        for lineno in sorted(pool_lines):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "pool-order",
+                    "direct thread-pool use in result-affecting code "
+                    "(go through driver::run_parallel/run_indexed)",
+                )
+            )
+    if rel is not None and rel.startswith(LAYERED_DIRS):
+        for lineno, inc in directives:
+            if inc.startswith(DRIVER_INCLUDES):
                 findings.append(
                     Finding(
                         path,
                         lineno,
-                        "pool-order",
-                        "direct thread-pool use in result-affecting code "
-                        "(go through driver::run_parallel/run_indexed)",
+                        "layering",
+                        f"{inc} included from the clock-agnostic core "
+                        "(use anu::Clock / proto::Transport)",
                     )
                 )
 
@@ -370,6 +413,8 @@ def main() -> int:
             print(f"{rule}: {message}")
         print("unordered-iter: iteration over unordered container")
         print("pool-order: direct thread-pool use outside driver/sweep")
+        print("layering: src/core or src/proto includes sim/cluster/driver/"
+              "runtime")
         print("test-registration: tests/*_test.cpp missing from CMake")
         print("baseline-missing/baseline-orphan: CI vs bench/baselines drift")
         return 0
