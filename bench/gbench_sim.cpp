@@ -1,8 +1,9 @@
 // google-benchmark: discrete-event engine throughput — the substrate every
 // experiment runs on. Measures raw event dispatch, the FIFO-resource
-// service loop at several queue depths, and the end-to-end experiment
-// driver with tracing off vs on (the observability overhead contract in
-// docs/observability.md: disabled tracing must cost < 2%).
+// service loop at several queue depths, workload synthesis (which every
+// seed of every experiment pays before it simulates), and the end-to-end
+// experiment driver with tracing off vs on (the observability overhead
+// contract in docs/observability.md: disabled tracing must cost < 2%).
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -13,6 +14,7 @@
 #include "sim/resource.h"
 #include "sim/simulation.h"
 #include "workload/synthetic.h"
+#include "workload/trace.h"
 
 namespace {
 
@@ -86,6 +88,57 @@ void BM_FifoServiceLoop(benchmark::State& state) {
                           static_cast<std::int64_t>(jobs));
 }
 BENCHMARK(BM_FifoServiceLoop)->Arg(1024)->Arg(8192);
+
+// Workload synthesis, per request generated: the §5.1 paper workload,
+// perfbench's protocol_churn shape (4,096 file sets, 671k requests over 80
+// two-minute rounds on 64 servers), and the paper workload with clustered
+// arrivals (Pareto shape 1.01, bound ratio 1e6).
+anu::workload::SyntheticConfig churn_shaped() {
+  anu::workload::SyntheticConfig config;
+  config.file_set_count = 4096;
+  config.request_count = 671'446;
+  config.duration = 9'600.0;
+  config.cluster_capacity = 316.0;
+  return config;
+}
+
+anu::workload::SyntheticConfig clustered() {
+  anu::workload::SyntheticConfig config;
+  config.pareto_shape = 1.01;
+  config.pareto_bound_ratio = 1e6;
+  return config;
+}
+
+void BM_SyntheticWorkload(benchmark::State& state,
+                          anu::workload::SyntheticConfig config) {
+  for (auto _ : state) {
+    const auto workload = anu::workload::make_synthetic_workload(config);
+    benchmark::DoNotOptimize(workload.requests().data());
+    ++config.seed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(config.request_count));
+}
+BENCHMARK_CAPTURE(BM_SyntheticWorkload, paper, anu::workload::SyntheticConfig{})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SyntheticWorkload, churn_shaped, churn_shaped())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SyntheticWorkload, clustered, clustered())
+    ->Unit(benchmark::kMillisecond);
+
+// The DFSTrace-shaped synthesizer behind Fig. 4 (21 file sets, 112,590
+// requests over one hour).
+void BM_SynthesizeTrace(benchmark::State& state) {
+  anu::workload::TraceSynthConfig config;
+  for (auto _ : state) {
+    const auto workload = anu::workload::synthesize_trace(config);
+    benchmark::DoNotOptimize(workload.requests().data());
+    ++config.seed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(config.request_count));
+}
+BENCHMARK(BM_SynthesizeTrace)->Unit(benchmark::kMillisecond);
 
 // End-to-end experiment run, tracing disabled vs enabled. The untraced
 // variant is the regression guard for the instrumentation: every emit site

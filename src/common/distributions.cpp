@@ -7,6 +7,16 @@
 
 namespace anu {
 
+namespace {
+
+/// Box–Muller, keeping the cosine branch of the pair.
+double standard_normal_from_uniforms(double u1, double u2) {
+  const double r = std::sqrt(-2.0 * std::log1p(-u1));
+  return r * std::cos(2.0 * std::numbers::pi * u2);
+}
+
+}  // namespace
+
 UniformReal::UniformReal(double lo, double hi) : lo_(lo), width_(hi - lo) {
   ANU_REQUIRE(hi > lo);
 }
@@ -29,20 +39,15 @@ BoundedPareto::BoundedPareto(double shape, double lo, double hi)
       lo_(lo),
       hi_(hi),
       lo_pow_(std::pow(lo, shape)),
-      hi_pow_(std::pow(hi, shape)) {
+      hi_pow_(std::pow(hi, shape)),
+      mass_(1.0 - lo_pow_ / hi_pow_),
+      inv_alpha_(1.0 / shape) {
   ANU_REQUIRE(shape > 0.0);
   ANU_REQUIRE(lo > 0.0 && hi > lo);
 }
 
 double BoundedPareto::sample(Xoshiro256& rng) const {
   return from_uniform(rng.next_double());
-}
-
-double BoundedPareto::from_uniform(double u) const {
-  // Inverse CDF of the truncated Pareto:
-  //   F(x) = (1 - (lo/x)^a) / (1 - (lo/hi)^a)
-  const double ratio = lo_pow_ / hi_pow_;
-  return lo_ / std::pow(1.0 - u * (1.0 - ratio), 1.0 / alpha_);
 }
 
 double BoundedPareto::mean() const {
@@ -52,8 +57,7 @@ double BoundedPareto::mean() const {
   const double num = lo_pow_ / (alpha_ - 1.0) *
                      (1.0 / std::pow(lo_, alpha_ - 1.0) -
                       1.0 / std::pow(hi_, alpha_ - 1.0));
-  const double norm = 1.0 - lo_pow_ / hi_pow_;
-  return alpha_ * num / norm;
+  return alpha_ * num / mass_;
 }
 
 Zipf::Zipf(std::size_t n, double s) {
@@ -94,7 +98,13 @@ Lognormal::Lognormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
 }
 
 double Lognormal::sample(Xoshiro256& rng) const {
-  return std::exp(mu_ + sigma_ * sample_standard_normal(rng));
+  const double u1 = rng.next_double();
+  const double u2 = rng.next_double();
+  return from_uniforms(u1, u2);
+}
+
+double Lognormal::from_uniforms(double u1, double u2) const {
+  return std::exp(mu_ + sigma_ * standard_normal_from_uniforms(u1, u2));
 }
 
 double Lognormal::mean() const {
@@ -102,11 +112,10 @@ double Lognormal::mean() const {
 }
 
 double sample_standard_normal(Xoshiro256& rng) {
-  // Box–Muller; consume exactly two uniforms per call for stream stability.
+  // Consume exactly two uniforms per call for stream stability.
   const double u1 = rng.next_double();
   const double u2 = rng.next_double();
-  const double r = std::sqrt(-2.0 * std::log1p(-u1));
-  return r * std::cos(2.0 * std::numbers::pi * u2);
+  return standard_normal_from_uniforms(u1, u2);
 }
 
 }  // namespace anu

@@ -7,6 +7,7 @@
 // or rejection against Xoshiro256 so results are reproducible.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +51,11 @@ class BoundedPareto {
   /// The inversion transform behind sample(): maps a uniform u in [0, 1)
   /// to a variate. Exposed so bulk callers can pair it with
   /// Xoshiro256::fill_doubles and keep the stream bit-identical to
-  /// repeated sample() calls.
-  [[nodiscard]] double from_uniform(double u) const;
+  /// repeated sample() calls. Inverse CDF of the truncated Pareto,
+  ///   F(x) = (1 - (lo/x)^a) / (1 - (lo/hi)^a).
+  [[nodiscard]] double from_uniform(double u) const {
+    return lo_ / std::pow(1.0 - u * mass_, inv_alpha_);
+  }
   /// Analytic mean of the truncated distribution.
   [[nodiscard]] double mean() const;
   [[nodiscard]] double shape() const { return alpha_; }
@@ -60,8 +64,10 @@ class BoundedPareto {
   double alpha_;
   double lo_;
   double hi_;
-  double lo_pow_;   // lo^alpha
-  double hi_pow_;   // hi^alpha
+  double lo_pow_;     // lo^alpha
+  double hi_pow_;     // hi^alpha
+  double mass_;       // 1 - lo^alpha / hi^alpha
+  double inv_alpha_;  // 1 / alpha
 };
 
 /// Zipf over ranks {0, .., n-1} with exponent s; rank 0 most popular.
@@ -84,6 +90,9 @@ class Lognormal {
  public:
   Lognormal(double mu, double sigma);
   double sample(Xoshiro256& rng) const;
+  /// The transform behind sample(), from its two uniforms in draw order;
+  /// the bulk counterpart of sample(), as BoundedPareto::from_uniform is.
+  [[nodiscard]] double from_uniforms(double u1, double u2) const;
   [[nodiscard]] double mean() const;
 
  private:

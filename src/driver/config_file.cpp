@@ -1,7 +1,10 @@
 #include "driver/config_file.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace anu::driver {
 
@@ -13,6 +16,58 @@ std::optional<SimSpec> fail(ConfigError* error, std::size_t line,
   return std::nullopt;
 }
 
+/// Replays the membership script against the cluster's up/down state, so a
+/// script the run cannot apply is rejected here rather than aborting the
+/// run. Returns the index of the first event that cannot apply, with the
+/// reason in `message`.
+std::optional<std::size_t> invalid_membership_event(
+    const cluster::FailureSchedule& script, std::size_t initial_servers,
+    std::string* message) {
+  std::vector<bool> up(initial_servers, true);
+  const auto& events = script.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const cluster::MembershipEvent& event = events[i];
+    if (event.action == cluster::MembershipAction::kAdd) {
+      up.push_back(true);
+      continue;
+    }
+    const std::uint32_t id = event.server.value();
+    std::string problem;
+    if (id >= up.size()) {
+      problem = "does not exist (" + std::to_string(up.size()) +
+                " servers at that time)";
+    } else {
+      switch (event.action) {
+        case cluster::MembershipAction::kFail:
+        case cluster::MembershipAction::kRemove:
+          if (!up[id]) {
+            problem = "is already down";
+          } else if (std::count(up.begin(), up.end(), true) == 1) {
+            problem = "is the last server up";
+          }
+          up[id] = false;
+          break;
+        case cluster::MembershipAction::kRecover:
+          if (up[id]) problem = "is up";
+          up[id] = true;
+          break;
+        case cluster::MembershipAction::kDegrade:
+          if (!up[id]) problem = "is down";
+          break;
+        case cluster::MembershipAction::kRestore:
+        case cluster::MembershipAction::kAdd:
+          break;
+      }
+    }
+    if (!problem.empty()) {
+      *message = std::string(cluster::action_name(event.action)) +
+                 ": server " + std::to_string(id) + " " + problem;
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
@@ -20,6 +75,10 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
   std::string line;
   std::size_t lineno = 0;
   SimTime last_event = 0.0;
+  // Where the keys checked after the last line were set (0 = default).
+  std::size_t file_sets_line = 0;
+  std::size_t requests_line = 0;
+  std::vector<std::size_t> membership_lines;
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
@@ -56,12 +115,14 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
       if (n == 0) return fail(error, lineno, "file_sets must be positive");
       spec.synthetic.file_set_count = n;
       spec.trace.file_set_count = n;
+      file_sets_line = lineno;
     } else if (key == "requests") {
       std::size_t n;
       if (!want(n, "count")) return std::nullopt;
       if (n == 0) return fail(error, lineno, "requests must be positive");
       spec.synthetic.request_count = n;
       spec.trace.request_count = n;
+      requests_line = lineno;
     } else if (key == "duration_min") {
       double minutes;
       if (!want(minutes, "minutes")) return std::nullopt;
@@ -199,6 +260,7 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
                               : key == "remove"
                                     ? cluster::MembershipAction::kRemove
                                     : cluster::MembershipAction::kFail;
+      membership_lines.push_back(lineno);
       spec.experiment.failures.add({when, action, ServerId(server), 0.0});
     } else if (key == "degrade") {
       double minute, factor;
@@ -217,6 +279,7 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
       cluster::MembershipEvent event{
           when, cluster::MembershipAction::kDegrade, ServerId(server), 0.0};
       event.factor = factor;
+      membership_lines.push_back(lineno);
       spec.experiment.failures.add(event);
     } else if (key == "restore") {
       double minute;
@@ -228,6 +291,7 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
         return fail(error, lineno, "membership events out of time order");
       }
       last_event = when;
+      membership_lines.push_back(lineno);
       spec.experiment.failures.add(
           {when, cluster::MembershipAction::kRestore, ServerId(server), 0.0});
     } else if (key == "add") {
@@ -240,6 +304,7 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
         return fail(error, lineno, "membership events out of time order");
       }
       last_event = when;
+      membership_lines.push_back(lineno);
       spec.experiment.failures.add(
           {when, cluster::MembershipAction::kAdd, ServerId(), speed});
     } else if (key == "trace_file") {
@@ -255,6 +320,27 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
       return fail(error, lineno, "unknown key: " + key);
     }
   }
+  // Checks that need the whole file: `speeds` may follow the script, and
+  // either count may be set after the other.
+  const std::size_t file_sets = spec.workload == SimSpec::WorkloadKind::kTrace
+                                    ? spec.trace.file_set_count
+                                    : spec.synthetic.file_set_count;
+  const std::size_t requests = spec.workload == SimSpec::WorkloadKind::kTrace
+                                   ? spec.trace.request_count
+                                   : spec.synthetic.request_count;
+  if (spec.trace_file.empty() && requests < file_sets) {
+    return fail(error, std::max(file_sets_line, requests_line),
+                "requests (" + std::to_string(requests) +
+                    ") must be at least file_sets (" +
+                    std::to_string(file_sets) + ")");
+  }
+  std::string message;
+  if (const auto bad = invalid_membership_event(
+          spec.experiment.failures,
+          spec.experiment.cluster.server_speeds.size(), &message)) {
+    return fail(error, membership_lines[*bad], message);
+  }
+
   // Keep workload capacity assumptions in sync with the cluster.
   double capacity = 0.0;
   for (double s : spec.experiment.cluster.server_speeds) capacity += s;

@@ -1,41 +1,14 @@
 #include "workload/synthetic.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/assert.h"
 #include "common/distributions.h"
 #include "common/rng.h"
+#include "workload/streams.h"
 
 namespace anu::workload {
-
-namespace {
-
-/// Draws `count` arrival times in [0, duration) as a bounded-Pareto renewal
-/// process rescaled to span the duration. Rescaling preserves burst
-/// structure (ratios between gaps) while hitting the exact request count.
-std::vector<SimTime> pareto_arrivals(std::size_t count, SimTime duration,
-                                     const BoundedPareto& gap,
-                                     Xoshiro256& rng) {
-  // Batched inversion: one bulk uniform fill, then transform + prefix-sum
-  // in place. Consumes exactly `count` draws in the same order as a
-  // sample() loop, so the stream (and every seeded workload) is unchanged.
-  std::vector<SimTime> arrivals(count);
-  rng.fill_doubles(arrivals);
-  double t = 0.0;
-  for (SimTime& a : arrivals) {
-    t += gap.from_uniform(a);
-    a = t;
-  }
-  if (arrivals.empty()) return arrivals;
-  // Rescale so the last arrival lands just inside the run.
-  const double scale = duration * 0.999 / arrivals.back();
-  for (SimTime& a : arrivals) a *= scale;
-  return arrivals;
-}
-
-}  // namespace
 
 double synthetic_mean_demand(const SyntheticConfig& config) {
   // Offered load = request_count * mean_demand over `duration`; utilization
@@ -87,9 +60,6 @@ Workload make_synthetic_workload(const SyntheticConfig& config) {
   }
 
   const double mean_demand = synthetic_mean_demand(config);
-  // Demand jitter with mean exactly mean_demand.
-  const double sigma = config.demand_jitter_sigma;
-  const Lognormal jitter(-0.5 * sigma * sigma, sigma);
 
   // The scaling factor c maps weight factors X to unit-speed seconds:
   // weight_i = X_i * c with sum(weight) = total offered demand.
@@ -102,24 +72,24 @@ Workload make_synthetic_workload(const SyntheticConfig& config) {
   const double gap_lo = 1.0;
   const BoundedPareto gap(config.pareto_shape, gap_lo,
                           gap_lo * config.pareto_bound_ratio);
+  StreamDraws draws;
   for (std::size_t i = 0; i < config.file_set_count; ++i) {
     const auto id = FileSetId(static_cast<std::uint32_t>(i));
     file_sets.push_back(
         FileSet{id, "fileset/" + std::to_string(i), x[i] * c});
     Xoshiro256 rng = Xoshiro256::substream(config.seed, 1000 + i);
-    const auto arrivals = pareto_arrivals(counts[i], config.duration, gap, rng);
-    for (SimTime t : arrivals) {
-      const double demand =
-          sigma > 0.0 ? mean_demand * jitter.sample(rng) : mean_demand;
-      requests.push_back(Request{t, id, demand});
+    // Rescale the renewal process so the last arrival lands just inside the
+    // run. Rescaling preserves burst structure (ratios between gaps) while
+    // hitting the exact request count.
+    const auto times = draws.renewal(counts[i], gap, rng);
+    const double scale = config.duration * 0.999 / times.back();
+    const auto demands = draws.demands(counts[i], mean_demand,
+                                       config.demand_jitter_sigma, rng);
+    for (std::size_t j = 0; j < counts[i]; ++j) {
+      requests.push_back(Request{times[j] * scale, id, demands[j]});
     }
   }
-
-  std::sort(requests.begin(), requests.end(),
-            [](const Request& a, const Request& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              return a.file_set < b.file_set;
-            });
+  order_by_arrival(requests);
   return Workload(std::move(file_sets), std::move(requests));
 }
 

@@ -9,6 +9,7 @@
 #include "common/assert.h"
 #include "common/distributions.h"
 #include "common/rng.h"
+#include "workload/streams.h"
 
 namespace anu::workload {
 
@@ -132,8 +133,6 @@ Workload synthesize_trace(const TraceSynthConfig& config) {
   const double mean_demand = config.target_utilization * config.duration *
                              config.cluster_capacity /
                              static_cast<double>(config.request_count);
-  const double sigma = config.demand_jitter_sigma;
-  const Lognormal jitter(-0.5 * sigma * sigma, sigma);
   const double gap_lo = 1.0;
   const BoundedPareto gap(config.pareto_shape, gap_lo,
                           gap_lo * config.pareto_bound_ratio);
@@ -160,6 +159,7 @@ Workload synthesize_trace(const TraceSynthConfig& config) {
   }
   const double total_demand =
       mean_demand * static_cast<double>(config.request_count);
+  StreamDraws draws;
   for (std::size_t i = 0; i < config.file_set_count; ++i) {
     const auto id = FileSetId(static_cast<std::uint32_t>(i));
     const double weight =
@@ -167,25 +167,15 @@ Workload synthesize_trace(const TraceSynthConfig& config) {
     file_sets.push_back(FileSet{id, "trace/fs" + std::to_string(i), weight});
     Xoshiro256 rng = Xoshiro256::substream(config.seed, 2000 + i);
     // Renewal process on virtual time, rescaled into [0, 1), then warped.
-    double v = 0.0;
-    std::vector<double> virtuals(counts[i]);
+    const auto virtuals = draws.renewal(counts[i], gap, rng);
+    const double scale = 0.999 / virtuals.back();
+    const auto demands = draws.demands(counts[i], mean_demand,
+                                       config.demand_jitter_sigma, rng);
     for (std::size_t j = 0; j < counts[i]; ++j) {
-      v += gap.sample(rng);
-      virtuals[j] = v;
-    }
-    const double scale = 0.999 / v;
-    for (std::size_t j = 0; j < counts[i]; ++j) {
-      const double demand =
-          sigma > 0.0 ? mean_demand * jitter.sample(rng) : mean_demand;
-      requests.push_back(Request{warp(virtuals[j] * scale), id, demand});
+      requests.push_back(Request{warp(virtuals[j] * scale), id, demands[j]});
     }
   }
-
-  std::sort(requests.begin(), requests.end(),
-            [](const Request& a, const Request& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              return a.file_set < b.file_set;
-            });
+  order_by_arrival(requests);
   return Workload(std::move(file_sets), std::move(requests));
 }
 

@@ -101,6 +101,68 @@ TEST(ConfigFile, RejectsOutOfOrderEvents) {
   EXPECT_EQ(error.line, 2u);
 }
 
+// Inputs that used to pass the parser and then abort the run on a
+// precondition. Each is rejected with the line that makes it invalid, once
+// the whole file is read.
+TEST(ConfigFile, RejectsFewerRequestsThanFileSets) {
+  ConfigError error;
+  EXPECT_FALSE(parse("file_sets 50\nrequests 10\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  EXPECT_FALSE(parse("requests 10\nfile_sets 50\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  EXPECT_FALSE(parse("seed 3\nrequests 10\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);  // against the default 50 file sets
+  EXPECT_TRUE(parse("file_sets 10\nrequests 10\n").has_value());
+  // A replayed trace file brings its own counts.
+  EXPECT_TRUE(parse("requests 10\ntrace_file x.trace\n").has_value());
+}
+
+TEST(ConfigFile, RejectsScriptOnUnknownServer) {
+  ConfigError error;
+  EXPECT_FALSE(parse("speeds 1 2 3\nfail 10 7\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  // `speeds` may come after the script.
+  EXPECT_FALSE(parse("fail 10 3\nspeeds 1 2 3\n", &error).has_value());
+  EXPECT_EQ(error.line, 1u);
+  EXPECT_FALSE(
+      parse("speeds 1 2 3\ndegrade 10 5 0.5\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  // Servers added by earlier lines count.
+  EXPECT_TRUE(parse("speeds 1 2 3\nadd 5 4\nfail 10 3\n").has_value());
+  EXPECT_FALSE(parse("speeds 1 2 3\nfail 5 3\nadd 10 4\n", &error));
+  EXPECT_EQ(error.line, 2u);
+}
+
+TEST(ConfigFile, RejectsFailOfDownServer) {
+  ConfigError error;
+  EXPECT_FALSE(parse("fail 10 1\nfail 20 1\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  EXPECT_FALSE(parse("remove 10 1\nremove 20 1\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  EXPECT_TRUE(parse("fail 10 1\nrecover 20 1\nfail 30 1\n").has_value());
+  // Nor may the script take down the last server up.
+  EXPECT_FALSE(parse("speeds 1 2\nfail 10 0\nremove 20 1\n", &error));
+  EXPECT_EQ(error.line, 3u);
+}
+
+TEST(ConfigFile, RejectsRecoverOfUpServer) {
+  ConfigError error;
+  EXPECT_FALSE(parse("recover 10 1\n", &error).has_value());
+  EXPECT_EQ(error.line, 1u);
+  EXPECT_FALSE(
+      parse("fail 10 1\nrecover 20 1\nrecover 30 1\n", &error).has_value());
+  EXPECT_EQ(error.line, 3u);
+  EXPECT_TRUE(parse("remove 10 1\nrecover 20 1\n").has_value());
+}
+
+TEST(ConfigFile, RejectsDegradeOfDownServer) {
+  ConfigError error;
+  EXPECT_FALSE(parse("fail 10 2\ndegrade 20 2 0.5\n", &error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  EXPECT_TRUE(parse("degrade 10 2 0.5\nfail 20 2\nrestore 30 2\n")
+                  .has_value());
+}
+
 TEST(ConfigFile, RejectsUnknownKey) {
   ConfigError error;
   EXPECT_FALSE(parse("bogus 1\n", &error).has_value());

@@ -1,9 +1,16 @@
 // Tests for the workload substrate: synthetic generator, trace synthesizer,
-// trace format round-trip.
+// trace format round-trip, golden pins of both generators' output, and the
+// request layout helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
+#include "series_hash.h"
+#include "workload/streams.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
@@ -308,6 +315,178 @@ TEST(Synthetic, DemandJitterPreservesMeanLoad) {
   const auto a = make_synthetic_workload(with_jitter);
   const auto b = make_synthetic_workload(without_jitter);
   EXPECT_NEAR(a.total_demand() / b.total_demand(), 1.0, 0.02);
+}
+
+// FNV-1a over every file set's name and weight, then every request's
+// arrival, file set and demand, in workload order: pins a generator's
+// output bit for bit.
+std::uint64_t workload_hash(const Workload& w) {
+  std::uint64_t hash = kFnv1aOffset;
+  for (const FileSet& fs : w.file_sets()) {
+    fnv1a_fold(hash, fs.name.size(), 8);
+    for (const char ch : fs.name) {
+      fnv1a_fold(hash, static_cast<unsigned char>(ch), 1);
+    }
+    fnv1a_fold(hash, std::bit_cast<std::uint64_t>(fs.weight), 8);
+  }
+  for (const Request& r : w.requests()) {
+    fnv1a_fold(hash, std::bit_cast<std::uint64_t>(r.arrival), 8);
+    fnv1a_fold(hash, r.file_set.value(), 4);
+    fnv1a_fold(hash, std::bit_cast<std::uint64_t>(r.demand), 8);
+  }
+  return hash;
+}
+
+// Golden pins: each literal was captured from the generators as they were
+// when requests were still put in order by a comparison sort, so a change
+// to the draw path or the layout that moves a single bit fails here.
+TEST(WorkloadPin, SyntheticPaperDefault) {
+  EXPECT_EQ(workload_hash(make_synthetic_workload(SyntheticConfig{})),
+            0xdea477783e4a0d13ULL);
+}
+
+TEST(WorkloadPin, SyntheticChurnShape) {
+  // perfbench's protocol_churn workload: 4,096 file sets over 80 two-minute
+  // rounds on 64 servers cycling the paper speeds (capacity 316).
+  SyntheticConfig config;
+  config.file_set_count = 4096;
+  config.request_count = 671'446;
+  config.duration = 9'600.0;
+  config.cluster_capacity = 316.0;
+  EXPECT_EQ(workload_hash(make_synthetic_workload(config)),
+            0xd9c7ec835cd2e98cULL);
+}
+
+TEST(WorkloadPin, SyntheticFlatDemand) {
+  SyntheticConfig config;
+  config.demand_jitter_sigma = 0.0;
+  EXPECT_EQ(workload_hash(make_synthetic_workload(config)),
+            0x4ab2401b3b3e1ed7ULL);
+}
+
+TEST(WorkloadPin, SyntheticOneRequestPerFileSet) {
+  SyntheticConfig config;
+  config.request_count = config.file_set_count;
+  EXPECT_EQ(workload_hash(make_synthetic_workload(config)),
+            0xb4614f34112e7946ULL);
+}
+
+TEST(WorkloadPin, SyntheticClusteredArrivals) {
+  SyntheticConfig config;
+  config.pareto_shape = 1.01;
+  config.pareto_bound_ratio = 1e6;
+  EXPECT_EQ(workload_hash(make_synthetic_workload(config)),
+            0xd2da3ec163042ed9ULL);
+}
+
+TEST(WorkloadPin, TraceDefault) {
+  EXPECT_EQ(workload_hash(synthesize_trace(TraceSynthConfig{})),
+            0x65b5115feb21c175ULL);
+}
+
+TEST(WorkloadPin, TraceStationary) {
+  TraceSynthConfig config;
+  config.intensity_modulation = 0.0;
+  EXPECT_EQ(workload_hash(synthesize_trace(config)), 0x6112e5d9b46689eaULL);
+}
+
+TEST(WorkloadPin, TraceDeepModulation) {
+  TraceSynthConfig config;
+  config.intensity_modulation = 0.9;
+  EXPECT_EQ(workload_hash(synthesize_trace(config)), 0x1b046bb1d308caddULL);
+}
+
+// order_by_arrival against the comparison sort it replaced, on inputs the
+// generators never produce. Each input is file-set streams laid end to end,
+// file set 0 first, as the generators lay them out.
+std::vector<Request> streams(const std::vector<std::vector<double>>& times) {
+  std::vector<Request> requests;
+  for (std::size_t fs = 0; fs < times.size(); ++fs) {
+    for (const double t : times[fs]) {
+      requests.push_back(
+          Request{t, FileSetId(static_cast<std::uint32_t>(fs)), 0.0});
+    }
+  }
+  return requests;
+}
+
+// Checks that order_by_arrival leaves the keys where std::sort with the
+// generators' old comparator puts them, and that it only permutes: each
+// request carries its input position as its demand.
+void expect_sort_order(std::vector<Request> requests) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].demand = static_cast<double>(i);
+  }
+  std::vector<Request> expected = requests;
+  std::sort(expected.begin(), expected.end(),
+            [](const Request& a, const Request& b) {
+              if (a.arrival != b.arrival) return a.arrival < b.arrival;
+              return a.file_set < b.file_set;
+            });
+  order_by_arrival(requests);
+  ASSERT_EQ(requests.size(), expected.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(requests[i].arrival),
+              std::bit_cast<std::uint64_t>(expected[i].arrival))
+        << "position " << i;
+    ASSERT_EQ(requests[i].file_set, expected[i].file_set) << "position " << i;
+  }
+  std::vector<double> positions;
+  for (const Request& r : requests) positions.push_back(r.demand);
+  std::sort(positions.begin(), positions.end());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    ASSERT_EQ(positions[i], static_cast<double>(i));
+  }
+}
+
+TEST(OrderByArrival, ExactTiesAcrossFileSets) {
+  // 40 file sets, each with arrivals at the same 30 instants.
+  std::vector<std::vector<double>> times(40);
+  for (auto& stream : times) {
+    for (int k = 0; k < 30; ++k) stream.push_back(0.5 * k);
+  }
+  expect_sort_order(streams(times));
+}
+
+TEST(OrderByArrival, EveryArrivalEqual) {
+  std::vector<std::vector<double>> times(30, std::vector<double>(20, 5.0));
+  expect_sort_order(streams(times));
+}
+
+TEST(OrderByArrival, BucketEdgesAndLastInstant) {
+  // Over [0, 1024] a split's bucket edges fall on whole seconds and their
+  // halves and quarters; every file set ends on the last instant.
+  std::vector<std::vector<double>> times(8);
+  for (std::size_t fs = 0; fs < times.size(); ++fs) {
+    for (int k = 0; k <= 4096; k += static_cast<int>(fs) + 1) {
+      times[fs].push_back(0.25 * k);
+    }
+    if (times[fs].back() != 1024.0) times[fs].push_back(1024.0);
+  }
+  expect_sort_order(streams(times));
+}
+
+TEST(OrderByArrival, OneRequest) {
+  expect_sort_order(streams({{42.0}}));
+}
+
+TEST(OrderByArrival, OneFileSet) {
+  std::vector<double> stream;
+  for (int k = 0; k < 5'000; ++k) stream.push_back(std::sqrt(k));
+  expect_sort_order(streams({stream}));
+}
+
+TEST(OrderByArrival, ClusteredStreams) {
+  // Bursts a hundred-millionth of the span wide, between long silences:
+  // buckets split again over their own span until they are short.
+  std::vector<std::vector<double>> times(16);
+  for (std::size_t fs = 0; fs < times.size(); ++fs) {
+    for (int burst = 0; burst < 4; ++burst) {
+      const double start = 1000.0 * burst + static_cast<double>(fs);
+      for (int k = 0; k < 500; ++k) times[fs].push_back(start + 1e-8 * k);
+    }
+  }
+  expect_sort_order(streams(times));
 }
 
 }  // namespace

@@ -37,6 +37,13 @@ int synthesize(int argc, char** argv) {
     std::fprintf(stderr, "invalid synthesize parameters\n");
     return 2;
   }
+  if (config.request_count < config.file_set_count) {
+    std::fprintf(stderr,
+                 "invalid synthesize parameters: %zu requests cannot cover "
+                 "%zu file sets\n",
+                 config.request_count, config.file_set_count);
+    return 2;
+  }
   const auto trace = synthesize_trace(config);
   if (!write_trace_file(argv[2], trace)) {
     std::fprintf(stderr, "error: cannot write %s\n", argv[2]);
