@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Per-test wall-clock ceiling for every ctest invocation below. A hung
-# test (e.g. a pool deadlock regression) fails fast instead of wedging
+# test (e.g. a nested-batch deadlock regression) fails fast instead of wedging
 # the whole check. TSan runs are 5-15x slower, hence the larger ceiling.
 CTEST_TIMEOUT=600
 TSAN_CTEST_TIMEOUT=1800
@@ -120,8 +120,8 @@ tier_asan() {
 
 tier_tsan() {
   # ThreadSanitizer pass over the concurrency-sensitive suites: the pool
-  # tier (work-stealing pool, batch/matrix byte-determinism CLI checks) and
-  # the chaos tier. Reports fail the run (TSan exits 66 on a report);
+  # tier (run_indexed and sweep tests, batch/matrix byte-determinism CLI
+  # checks) and the chaos tier. Reports fail the run (TSan exits 66 on a report);
   # suppressions, if ever unavoidable, live in tsan.supp with justification
   # (docs/static-analysis.md) — there are currently none.
   local log=build-tsan-configure.log

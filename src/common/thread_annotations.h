@@ -8,15 +8,13 @@
 // (ANU_GUARDED_BY) and which capabilities its private helpers assume
 // (ANU_REQUIRES); CONTRIBUTING.md makes this a review rule.
 //
-// The Mutex / MutexLock / CondVar wrappers exist because the analysis
-// cannot see through std::mutex / std::unique_lock: only types annotated
-// with ANU_CAPABILITY / ANU_SCOPED_CAPABILITY participate. They compile to
+// The Mutex / MutexLock wrappers exist because the analysis cannot see
+// through std::mutex / std::unique_lock: only types annotated with
+// ANU_CAPABILITY / ANU_SCOPED_CAPABILITY participate. They compile to
 // exactly the std primitives they wrap.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
-#include <utility>
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -71,8 +69,8 @@ class ANU_CAPABILITY("mutex") Mutex {
     return mu_.try_lock();
   }
 
-  /// The wrapped std::mutex, for interop (CondVar). Holding it via this
-  /// handle is invisible to the analysis — use MutexLock instead.
+  /// The wrapped std::mutex, for MutexLock. Holding it via this handle is
+  /// invisible to the analysis — use MutexLock instead.
   [[nodiscard]] std::mutex& native() { return mu_; }
 
  private:
@@ -80,8 +78,7 @@ class ANU_CAPABILITY("mutex") Mutex {
 };
 
 /// RAII lock on an anu::Mutex, visible to the analysis as holding the
-/// capability for its whole scope. Exposes the underlying unique_lock so
-/// CondVar::wait can release/reacquire it.
+/// capability for its whole scope.
 class ANU_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ANU_ACQUIRE(mu) : lock_(mu.native()) {}
@@ -90,34 +87,8 @@ class ANU_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  [[nodiscard]] std::unique_lock<std::mutex>& native() { return lock_; }
-
  private:
-  std::unique_lock<std::mutex> lock_;
-};
-
-/// Condition variable waiting on an anu::Mutex held via MutexLock. The
-/// analysis treats the capability as held across wait() (the transient
-/// release/reacquire inside is an implementation detail, same convention
-/// as absl::CondVar).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(MutexLock& lock) { cv_.wait(lock.native()); }
-
-  template <class Predicate>
-  void wait(MutexLock& lock, Predicate pred) {
-    cv_.wait(lock.native(), std::move(pred));
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
+  std::lock_guard<std::mutex> lock_;
 };
 
 }  // namespace anu

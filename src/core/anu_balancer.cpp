@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/log.h"
 
 namespace anu::core {
 
@@ -137,9 +136,6 @@ balance::RebalanceResult AnuBalancer::tune() {
   std::fill(pending_.begin(), pending_.end(), std::nullopt);
   last_average_ = decision.system_average;
   last_incompetent_ = decision.incompetent;
-  for (std::uint32_t s : decision.incompetent) {
-    ANU_LOG_INFO("server %u flagged incompetent (share pinned at floor)", s);
-  }
   return replace_all();
 }
 

@@ -2,8 +2,8 @@
 //
 // The paper's evaluation (§6) reports distributions over many runs, not
 // single-seed anecdotes, so the batch runner fans one experiment template
-// out across N seeds on the work-stealing pool (common/thread_pool.h),
-// derives run i's seed as substream_seed(base_seed, i) (common/rng.h), and
+// out across N seeds through driver::run_indexed (driver/sweep.h), derives
+// run i's seed as substream_seed(base_seed, i) (common/rng.h), and
 // aggregates the scalar metrics of every run into mean / sample stddev /
 // 95% confidence interval / min / max.
 //

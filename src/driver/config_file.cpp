@@ -16,10 +16,8 @@ std::optional<SimSpec> fail(ConfigError* error, std::size_t line,
   return std::nullopt;
 }
 
-/// Replays the membership script against the cluster's up/down state, so a
-/// script the run cannot apply is rejected here rather than aborting the
-/// run. Returns the index of the first event that cannot apply, with the
-/// reason in `message`.
+}  // namespace
+
 std::optional<std::size_t> invalid_membership_event(
     const cluster::FailureSchedule& script, std::size_t initial_servers,
     std::string* message) {
@@ -67,8 +65,6 @@ std::optional<std::size_t> invalid_membership_event(
   }
   return std::nullopt;
 }
-
-}  // namespace
 
 std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
   SimSpec spec;

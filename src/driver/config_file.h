@@ -71,6 +71,14 @@ std::optional<SimSpec> parse_sim_config(std::istream& is,
 std::optional<SimSpec> parse_sim_config_file(const std::string& path,
                                              ConfigError* error = nullptr);
 
+/// Replays a membership script against the up/down state of a cluster that
+/// starts with `initial_servers` servers, so a script the run cannot apply
+/// is rejected before it aborts the run. Returns the index of the first
+/// event that cannot apply, with the reason in `message`.
+std::optional<std::size_t> invalid_membership_event(
+    const cluster::FailureSchedule& script, std::size_t initial_servers,
+    std::string* message);
+
 /// Builds the workload a spec describes (synthesizes or loads the trace).
 /// Returns nullopt with `error` if a trace file fails to parse.
 std::optional<workload::Workload> build_workload(const SimSpec& spec,

@@ -98,6 +98,18 @@ MatrixResult run_matrix(const MatrixConfig& config) {
       throw std::runtime_error("matrix: load must be in (0, 1)");
     }
   }
+  // The config's membership script was checked against its own speeds; the
+  // cells swap in other server counts, so check it against each of them
+  // before the first cell runs.
+  for (const std::size_t servers : config.server_counts) {
+    std::string problem;
+    if (invalid_membership_event(config.base.experiment.failures, servers,
+                                 &problem)) {
+      throw std::runtime_error("matrix: membership script cannot run on " +
+                               std::to_string(servers) +
+                               " servers: " + problem);
+    }
+  }
   std::error_code ec;
   std::filesystem::create_directories(config.out_dir, ec);
   if (ec) {

@@ -6,9 +6,9 @@
 // slot each job writes — pre-sized so no synchronization beyond the batch
 // completion is needed (C++ Core Guidelines CP.20-ish: no naked sharing).
 //
-// Execution rides the persistent work-stealing pool in common/thread_pool.h
-// rather than spawning threads per call: `threads` caps the parallelism of
-// one batch, not the number of threads created. Results must not depend on
+// Execution goes through anu::run_indexed (common/thread_pool.h): the
+// caller and up to `threads`-1 helper threads share one index counter, and
+// the call joins its helpers before it returns. Results must not depend on
 // `threads`; derive any per-job randomness from substream_seed(base, index)
 // (common/rng.h) so a sweep is bit-identical at any parallelism level.
 #pragma once
@@ -19,16 +19,12 @@
 
 namespace anu::driver {
 
-/// Runs jobs[0..n) with at most `threads`-way parallelism (0 = all cores);
-/// blocks until all finish. Each job must be independent (no shared mutable
-/// state between jobs). If a job throws, unstarted jobs are abandoned and
-/// the first exception is rethrown on the calling thread after the batch
-/// drains. threads == 1 runs inline, in index order.
-void run_parallel(const std::vector<std::function<void()>>& jobs,
-                  std::size_t threads = 0);
-
-/// Runs fn(0..count) under the same contract, without materializing a job
-/// list. `fn` must be safe to call concurrently on distinct indices.
+/// Runs fn(0..count) with at most `threads`-way parallelism (0 = all
+/// cores); blocks until all finish. `fn` must be safe to call concurrently
+/// on distinct indices (no shared mutable state between jobs). If a call
+/// throws, unstarted indices are abandoned and the first exception is
+/// rethrown on the calling thread after the batch drains. threads == 1
+/// runs inline, in index order.
 void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn,
                  std::size_t threads = 0);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "core/placement.h"
 #include "obs/trace_sink.h"
 

@@ -138,6 +138,16 @@ TEST(Matrix, RejectsUnknownTokensAndBadLoads) {
   auto bad_load = tiny_matrix((root / "mx_bad3").string());
   bad_load.loads = {1.5};
   EXPECT_THROW((void)run_matrix(bad_load), std::runtime_error);
+
+  // A membership script naming a server the cell lacks: fail and recover
+  // server 4 on a 3-server cluster.
+  auto bad_script = tiny_matrix((root / "mx_bad4").string());
+  bad_script.server_counts = {3};
+  bad_script.base.experiment.failures.add(
+      {600.0, cluster::MembershipAction::kFail, ServerId(4), 0.0});
+  bad_script.base.experiment.failures.add(
+      {900.0, cluster::MembershipAction::kRecover, ServerId(4), 0.0});
+  EXPECT_THROW((void)run_matrix(bad_script), std::runtime_error);
 }
 
 }  // namespace

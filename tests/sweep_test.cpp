@@ -1,10 +1,9 @@
-// Tests for the parallel sweep utility.
+// Tests for the parallel sweep utility (ctest label: pool).
 #include "driver/sweep.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 
 namespace anu::driver {
@@ -12,21 +11,17 @@ namespace {
 
 TEST(Sweep, RunsAllJobs) {
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 50; ++i) jobs.push_back([&] { ++counter; });
-  run_parallel(jobs, 4);
+  run_indexed(50, [&](std::size_t) { ++counter; }, 4);
   EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(Sweep, EmptyJobListIsNoop) {
-  run_parallel({}, 4);  // must not hang or crash
+  run_indexed(0, [](std::size_t) {}, 4);  // must not hang or crash
 }
 
 TEST(Sweep, SingleThreadFallback) {
   int counter = 0;  // non-atomic: safe because threads == 1
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 10; ++i) jobs.push_back([&] { ++counter; });
-  run_parallel(jobs, 1);
+  run_indexed(10, [&](std::size_t) { ++counter; }, 1);
   EXPECT_EQ(counter, 10);
 }
 
@@ -42,8 +37,7 @@ TEST(Sweep, ParallelMapPreservesOrder) {
 
 TEST(Sweep, MoreThreadsThanJobs) {
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> jobs{[&] { ++counter; }};
-  run_parallel(jobs, 16);
+  run_indexed(1, [&](std::size_t) { ++counter; }, 16);
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -51,48 +45,38 @@ TEST(Sweep, MoreThreadsThanJobs) {
 // thread boundary and call std::terminate. It must instead surface on the
 // calling thread, after every worker has joined.
 TEST(Sweep, ThrowingJobRethrowsOnCaller) {
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 32; ++i) {
-    jobs.push_back([i] {
-      if (i == 7) throw std::runtime_error("job 7 failed");
-    });
-  }
-  EXPECT_THROW(run_parallel(jobs, 4), std::runtime_error);
+  const auto job = [](std::size_t i) {
+    if (i == 7) throw std::runtime_error("job 7 failed");
+  };
+  EXPECT_THROW(run_indexed(32, job, 4), std::runtime_error);
 }
 
 TEST(Sweep, ThrowingJobAbandonsUnstartedJobs) {
   // Poisoned jobs among healthy ones: jobs claimed after the failure is
   // flagged must not run. Each participant meets a poisoned job before it
-  // can run all the healthy ones. The inline path runs index 0 first. In
-  // the pool, a participant pops its own shard from the back and steals
-  // only once that shard is empty: the helper starts at index 1001, and
-  // the caller runs index 0 before it steals. Index 0 alone would be the
-  // caller's last job, often run after every healthy one.
+  // can run all the healthy ones. Both claim from one counter in
+  // increasing order, so the first claim, index 0, is poisoned, and the
+  // other participant reaches the second poison, index 501, after at most
+  // 500 healthy jobs, however long the first throw takes to be caught.
+  // The inline path runs index 0 first.
   std::atomic<int> ran{0};
-  std::vector<std::function<void()>> jobs;
-  const auto poison = [] { throw std::logic_error("poison"); };
-  jobs.push_back(poison);
-  for (int i = 0; i < 1000; ++i) {
-    jobs.push_back([&] { ++ran; });
-  }
-  jobs.push_back(poison);
-  EXPECT_THROW(run_parallel(jobs, 2), std::logic_error);
+  const auto job = [&](std::size_t i) {
+    if (i == 0 || i == 501) throw std::logic_error("poison");
+    ++ran;
+  };
+  EXPECT_THROW(run_indexed(1002, job, 2), std::logic_error);
   EXPECT_LT(ran.load(), 1000);
 }
 
 TEST(Sweep, FirstExceptionWinsWhenSeveralThrow) {
   // All jobs throw; exactly one exception must come back (and not crash).
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 16; ++i) {
-    jobs.push_back([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(run_parallel(jobs, 8), std::runtime_error);
+  const auto job = [](std::size_t) { throw std::runtime_error("boom"); };
+  EXPECT_THROW(run_indexed(16, job, 8), std::runtime_error);
 }
 
 TEST(Sweep, SingleThreadPathAlsoPropagates) {
-  std::vector<std::function<void()>> jobs{
-      [] { throw std::runtime_error("solo"); }};
-  EXPECT_THROW(run_parallel(jobs, 1), std::runtime_error);
+  const auto job = [](std::size_t) { throw std::runtime_error("solo"); };
+  EXPECT_THROW(run_indexed(1, job, 1), std::runtime_error);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ src/proto, src/balance, src/driver):
   ptr-key-container std::map/std::set keyed by pointer — ordered by
                    allocator-assigned addresses, i.e. by ASLR.
   pool-order       direct common/thread_pool use — result-affecting code
-                   must go through driver::run_parallel/run_indexed, whose
+                   must go through driver::run_indexed/parallel_map, whose
                    pre-sized-slot contract makes results independent of
                    completion order.
   layering         src/core or src/proto including from sim/, cluster/,
@@ -278,10 +278,9 @@ def lint_source_file(path: Path, skip_rules: frozenset[str] = frozenset()
         rel = "/".join(parts[idx:])
     directives = includes(raw_lines, code_lines)
     if rel not in POOL_ALLOWLIST:
-        # Only the type and its header: method-name matching (e.g. .submit)
-        # would misfire on cluster::Cluster::submit, the simulated dispatch
-        # path. You cannot reach a pool without naming ThreadPool somewhere
-        # in the translation unit.
+        # Only the header and the ThreadPool name: matching the call would
+        # misfire on driver::run_indexed, the sanctioned entry point. Nothing
+        # reaches anu::run_indexed without including its header.
         pool_lines = {
             n for n, inc in directives if inc == "common/thread_pool.h"
         }
@@ -296,7 +295,7 @@ def lint_source_file(path: Path, skip_rules: frozenset[str] = frozenset()
                     lineno,
                     "pool-order",
                     "direct thread-pool use in result-affecting code "
-                    "(go through driver::run_parallel/run_indexed)",
+                    "(go through driver::run_indexed/parallel_map)",
                 )
             )
     if rel is not None and rel.startswith(LAYERED_DIRS):

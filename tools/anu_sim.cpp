@@ -21,8 +21,9 @@
 //   --chaos-profile <p>    light | heavy | partition | degrade | mixed
 //                          (default mixed)
 //   --seeds <n>            batch mode: fan the experiment out across n
-//                          derived seeds on the work-stealing pool and
-//                          report mean / 95% CI aggregates (docs/ci.md)
+//                          derived seeds, run by this thread and up to
+//                          --jobs - 1 helper threads, and report mean /
+//                          95% CI aggregates (docs/ci.md)
 //   --jobs <m>             batch parallelism cap (0 = all cores); never
 //                          affects results, only wall time
 //   --json-out <file>      batch mode: write the versioned results JSON
