@@ -33,16 +33,34 @@ void Xoshiro256::jump() {
   static constexpr std::uint64_t kJump[] = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
       0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
+  // The state stays in locals, as in fill_doubles, so the 256 steps run in
+  // registers; each step is next()'s recurrence without its output.
+  std::uint64_t s0 = s_[0];
+  std::uint64_t s1 = s_[1];
+  std::uint64_t s2 = s_[2];
+  std::uint64_t s3 = s_[3];
+  std::uint64_t a0 = 0;
+  std::uint64_t a1 = 0;
+  std::uint64_t a2 = 0;
+  std::uint64_t a3 = 0;
+  for (const std::uint64_t word : kJump) {
     for (int b = 0; b < 64; ++b) {
-      if (word & (std::uint64_t{1} << b)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s_[i];
-      }
-      next();
+      // All ones when bit b is set, so the accumulate needs no branch.
+      const std::uint64_t take = 0 - ((word >> b) & 1);
+      a0 ^= s0 & take;
+      a1 ^= s1 & take;
+      a2 ^= s2 & take;
+      a3 ^= s3 & take;
+      const std::uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = rotl(s3, 45);
     }
   }
-  s_ = acc;
+  s_ = {a0, a1, a2, a3};
 }
 
 Xoshiro256 Xoshiro256::substream(std::uint64_t seed, std::uint64_t index) {

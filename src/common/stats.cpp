@@ -1,6 +1,7 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/assert.h"
@@ -41,68 +42,80 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
-  ANU_REQUIRE(hi > lo);
-  ANU_REQUIRE(buckets > 0);
-  counts_.assign(buckets + 1, 0);  // +1 overflow
+namespace {
+
+/// The bucket rule of LogHistogram, with log10: the constructor places the
+/// edges by it, and bucket_of() must agree with it at every double.
+std::size_t log10_bucket(double x, double log_min, double per_decade,
+                         std::size_t last) {
+  if (!(x > 0.0)) return 0;
+  const double pos = (std::log10(x) - log_min) * per_decade;
+  if (pos <= 0.0) return 0;
+  return pos >= static_cast<double>(last) ? last
+                                          : static_cast<std::size_t>(pos);
 }
 
-void Histogram::add(double x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 2);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const {
-  ANU_REQUIRE(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return 0.0;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      if (i == counts_.size() - 1) return hi_;  // overflow bucket
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
+}  // namespace
 
 LogHistogram::LogHistogram(double min_value, double max_value,
                            std::size_t buckets_per_decade)
     : log_min_(std::log10(min_value)),
       per_decade_(static_cast<double>(buckets_per_decade)) {
   ANU_REQUIRE(min_value > 0.0 && max_value > min_value);
+  ANU_REQUIRE(max_value <= std::numeric_limits<double>::max());
   ANU_REQUIRE(buckets_per_decade > 0);
   const double decades = std::log10(max_value) - log_min_;
   counts_.assign(
       static_cast<std::size_t>(std::ceil(decades * per_decade_)) + 1, 0);
+  const std::size_t last = counts_.size() - 1;
+  ANU_REQUIRE(last <= std::numeric_limits<std::uint32_t>::max());
+
+  // Each edge starts at pow's estimate and moves ulp by ulp to the lowest
+  // value the rule puts in its bucket: pow and the rule round differently,
+  // by a few ulps.
+  const auto rule = [&](double x) {
+    return log10_bucket(x, log_min_, per_decade_, last);
+  };
+  edges_.assign(last + 1, 0.0);
+  for (std::size_t i = 1; i <= last; ++i) {
+    double e = std::pow(10.0, log_min_ + static_cast<double>(i) / per_decade_);
+    while (rule(e) >= i) e = std::nextafter(e, 0.0);
+    while (rule(e) < i) {
+      e = std::nextafter(e, std::numeric_limits<double>::infinity());
+    }
+    edges_[i] = e;
+  }
+
+  // The widest cells that keep consecutive edges apart: two values share a
+  // cell exactly when their log_bits() agree above bit shift_.
+  shift_ = 52;
+  for (std::size_t i = 1; i < last; ++i) {
+    const auto diff = static_cast<std::uint64_t>(log_bits(edges_[i]) ^
+                                                 log_bits(edges_[i + 1]));
+    shift_ = std::min(shift_, static_cast<int>(std::bit_width(diff)) - 1);
+  }
+  shift_ = std::max(shift_, 0);  // equal edges: one value per cell
+  first_cell_ = log_bits(std::nextafter(edges_[1], 0.0)) >> shift_;
+  last_cell_ = log_bits(edges_[last]) >> shift_;
+  guess_.reserve(static_cast<std::size_t>(last_cell_ - first_cell_) + 1);
+  std::size_t below = 0;  // edges at or below the current cell's lowest value
+  for (std::int64_t cell = first_cell_; cell <= last_cell_; ++cell) {
+    const std::int64_t lowest = cell * (std::int64_t{1} << shift_);
+    while (below < last && log_bits(edges_[below + 1]) <= lowest) ++below;
+    guess_.push_back(static_cast<std::uint32_t>(std::min(below, last - 1)));
+  }
 }
 
-std::size_t LogHistogram::bucket_of(double x) const {
-  if (!(x > 0.0)) return 0;
-  const double pos = (std::log10(x) - log_min_) * per_decade_;
-  if (pos <= 0.0) return 0;
-  const auto idx = static_cast<std::size_t>(pos);
-  return std::min(idx, counts_.size() - 1);
+namespace {
+
+const LogHistogram& default_log_histogram() {
+  static const LogHistogram prototype(1e-4, 1e5, 20);
+  return prototype;
 }
 
-void LogHistogram::add(double x) {
-  ++counts_[bucket_of(x)];
-  ++total_;
-}
+}  // namespace
+
+LogHistogram::LogHistogram() : LogHistogram(default_log_histogram()) {}
 
 void LogHistogram::merge(const LogHistogram& other) {
   ANU_REQUIRE(counts_.size() == other.counts_.size());

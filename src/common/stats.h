@@ -1,6 +1,8 @@
 // Streaming statistics used by the metrics layer and the figure harnesses.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -33,59 +35,87 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-bucket linear histogram with overflow bucket; supports quantile
-/// estimation good enough for latency reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return total_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  /// Linear-interpolated quantile, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;  // last bucket holds >= hi overflow
-  std::size_t total_ = 0;
-};
-
 /// Logarithmically-bucketed histogram for long-tailed positive values
 /// (latencies spanning milliseconds to hours). Relative quantile error is
 /// bounded by the per-decade resolution; O(1) add, O(buckets) quantile.
+///
+/// The bucket rule: x lands in bucket
+///   floor((log10(x) - log10(min_value)) * buckets_per_decade),
+/// clamped to [0, bucket_count() - 1]. NaN, zero and negatives land in
+/// bucket 0, +inf in the last. add() applies the rule without calling
+/// log10: the constructor finds each bucket's lowest value (its edge) once,
+/// and a lookup guesses the bucket from x's exponent and top mantissa bits
+/// and corrects the guess with one comparison against an edge.
 class LogHistogram {
  public:
   /// Buckets span [min_value, max_value] with `buckets_per_decade`
   /// subdivisions per power of ten. Values outside clamp to the ends.
-  LogHistogram(double min_value = 1e-4, double max_value = 1e5,
-               std::size_t buckets_per_decade = 20);
+  LogHistogram(double min_value, double max_value,
+               std::size_t buckets_per_decade);
+  /// LogHistogram(1e-4, 1e5, 20), the latency histogram every experiment
+  /// result carries. Its edges are found once per process and copied.
+  LogHistogram();
 
-  void add(double x);
+  void add(double x) {
+    ++counts_[bucket_of(x)];
+    ++total_;
+  }
   void merge(const LogHistogram& other);
   [[nodiscard]] std::size_t count() const { return total_; }
   /// Quantile estimate (geometric midpoint of the selected bucket).
   [[nodiscard]] double quantile(double q) const;
 
+  /// The bucket the rule assigns `x`: the one add(x) counts it in.
+  [[nodiscard]] std::size_t bucket_of(double x) const {
+    if (!(x > 0.0)) return 0;
+    const std::int64_t cell =
+        std::clamp(log_bits(x) >> shift_, first_cell_, last_cell_);
+    const std::size_t guess =
+        guess_[static_cast<std::size_t>(cell - first_cell_)];
+    return guess + static_cast<std::size_t>(x >= edges_[guess + 1]);
+  }
+
   // Bucket introspection (serialized into the telemetry manifest; see
   // docs/observability.md).
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  /// Lower edge of bucket i in value space; bucket i covers
-  /// [bucket_lower(i), bucket_lower(i + 1)), with the first and last
-  /// buckets absorbing underflow/overflow.
+  /// Lower edge of bucket i in value space, as pow(10, log10(min_value) +
+  /// i / buckets_per_decade); bucket i covers [bucket_lower(i),
+  /// bucket_lower(i + 1)) to within the few ulps by which the rule's own
+  /// rounding differs, with the first and last buckets absorbing
+  /// underflow/overflow.
   [[nodiscard]] double bucket_lower(std::size_t i) const;
 
  private:
-  [[nodiscard]] std::size_t bucket_of(double x) const;
+  /// A non-negative double's bits as an integer that grows by 2^52 per
+  /// doubling: the bits themselves for normal values, and for subnormals
+  /// the bits of x * 2^52 less 52 binades. A run of 2^s consecutive
+  /// integers therefore spans a relative width of at most 2^(s-52) at any
+  /// magnitude.
+  [[nodiscard]] static std::int64_t log_bits(double x) {
+    if (x >= std::numeric_limits<double>::min()) [[likely]] {
+      return std::bit_cast<std::int64_t>(x);
+    }
+    return std::bit_cast<std::int64_t>(x * 0x1p52) - (std::int64_t{52} << 52);
+  }
 
   double log_min_;
   double per_decade_;
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
+  /// edges_[i], i >= 1: the lowest value the rule puts in bucket i or
+  /// above. edges_[0] is unused.
+  std::vector<double> edges_;
+  /// Cell c is the values whose log_bits() >> shift_ is c; a cell never
+  /// holds more than one edge. guess_[c - first_cell_] is the bucket of
+  /// the cell's lowest value, capped at bucket_count() - 2 so the one
+  /// comparison stays inside edges_. Cells outside [first_cell_,
+  /// last_cell_] clamp to the end cells: first_cell_ holds the value just
+  /// below the first edge, and last_cell_ holds the last edge.
+  std::vector<std::uint32_t> guess_;
+  int shift_ = 0;
+  std::int64_t first_cell_ = 0;
+  std::int64_t last_cell_ = 0;
 };
 
 /// Windowed-mean latency series — the building block for the

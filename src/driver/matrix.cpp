@@ -110,6 +110,26 @@ MatrixResult run_matrix(const MatrixConfig& config) {
                                " servers: " + problem);
     }
   }
+  // Resolve every profile and strategy token before the directory exists,
+  // so a bad token costs no cell and leaves no file behind.
+  std::vector<std::vector<double>> cluster_speeds;  // profile-major
+  for (const std::string& profile : config.profiles) {
+    for (const std::size_t servers : config.server_counts) {
+      auto speeds = heterogeneity_profile(profile, servers);
+      if (!speeds) {
+        throw std::runtime_error("matrix: unknown profile: " + profile);
+      }
+      cluster_speeds.push_back(std::move(*speeds));
+    }
+  }
+  std::vector<SystemConfig> systems;
+  for (const std::string& strategy : config.strategies) {
+    const auto sys = strategy_config(strategy, config.base.system);
+    if (!sys) {
+      throw std::runtime_error("matrix: unknown strategy: " + strategy);
+    }
+    systems.push_back(*sys);
+  }
   std::error_code ec;
   std::filesystem::create_directories(config.out_dir, ec);
   if (ec) {
@@ -123,20 +143,15 @@ MatrixResult run_matrix(const MatrixConfig& config) {
   // docs/static-analysis.md on the disjoint-slot/sequential-aggregation
   // pattern), and cell order is the deterministic loop-nest order.
   MatrixResult out;
+  auto next_speeds = cluster_speeds.cbegin();
   for (const std::string& profile : config.profiles) {
     for (const std::size_t servers : config.server_counts) {
-      const auto speeds = heterogeneity_profile(profile, servers);
-      if (!speeds) {
-        throw std::runtime_error("matrix: unknown profile: " + profile);
-      }
+      const std::vector<double>& speeds = *next_speeds++;
       double capacity = 0.0;
-      for (const double s : *speeds) capacity += s;
+      for (const double s : speeds) capacity += s;
       for (const double load : config.loads) {
-        for (const std::string& strategy : config.strategies) {
-          const auto sys = strategy_config(strategy, config.base.system);
-          if (!sys) {
-            throw std::runtime_error("matrix: unknown strategy: " + strategy);
-          }
+        for (std::size_t k = 0; k < config.strategies.size(); ++k) {
+          const SystemConfig& sys = systems[k];
 
           BatchConfig batch;
           batch.seeds = config.seeds;
@@ -145,8 +160,8 @@ MatrixResult run_matrix(const MatrixConfig& config) {
           batch.spec = config.base;
           batch.spec.workload = SimSpec::WorkloadKind::kSynthetic;
           batch.spec.trace_file.clear();
-          batch.spec.system = *sys;
-          batch.spec.experiment.cluster.server_speeds = *speeds;
+          batch.spec.system = sys;
+          batch.spec.experiment.cluster.server_speeds = speeds;
           workload::SyntheticConfig& w = batch.spec.synthetic;
           w.file_set_count = servers * config.file_sets_per_server;
           w.request_count = servers * config.requests_per_server;
@@ -160,7 +175,7 @@ MatrixResult run_matrix(const MatrixConfig& config) {
           cell.profile = profile;
           cell.servers = servers;
           cell.load = load;
-          cell.strategy = strategy_label(strategy, *sys);
+          cell.strategy = strategy_label(config.strategies[k], sys);
           cell.file = cell_file_name(profile, servers, load, cell.strategy);
           cell.mean_latency_s = metric_mean(result, "mean_latency_s");
           cell.latency_cv = metric_mean(result, "latency_cv");

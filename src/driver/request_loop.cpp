@@ -36,14 +36,13 @@ RequestLoop::RequestLoop(sim::Simulation& sim,
   };
 }
 
-// One in-flight event submits every request due now and arms the next
-// arrival, keeping the calendar O(servers), not O(requests). The event
-// captures only `this`, so re-arming copies no callable and allocates
-// nothing.
+// The arrival cursor is the simulation's stream item: each firing submits
+// every request due now and re-arms the stream at the next arrival. So
+// arrivals cost no calendar insert, slab slot or callable, and the calendar
+// holds only completions, timers and messages.
 void RequestLoop::start_arrivals() {
-  if (!requests_.empty()) {
-    sim_.schedule_at(requests_.front().arrival, [this] { arrive(); });
-  }
+  sim_.set_stream([this] { arrive(); });
+  if (!requests_.empty()) sim_.arm_stream(requests_.front().arrival);
 }
 
 void RequestLoop::arrive() {
@@ -53,9 +52,7 @@ void RequestLoop::arrive() {
     ++issued_;
     dispatch(r.file_set, r.demand);
   }
-  if (cursor_ < requests_.size()) {
-    sim_.schedule_at(requests_[cursor_].arrival, [this] { arrive(); });
-  }
+  if (cursor_ < requests_.size()) sim_.arm_stream(requests_[cursor_].arrival);
 }
 
 void RequestLoop::issue(ServerId to, FileSetId file_set, double demand,

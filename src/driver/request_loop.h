@@ -46,7 +46,7 @@ class RequestLoop {
               const workload::Workload& workload, SimTime horizon,
               SimTime series_window);
 
-  // Scheduled events and the cluster's observers hold `this`.
+  // Scheduled events, the stream and the cluster's observers hold `this`.
   RequestLoop(const RequestLoop&) = delete;
   RequestLoop& operator=(const RequestLoop&) = delete;
 
@@ -56,9 +56,10 @@ class RequestLoop {
   /// Each file set's weight, in id order.
   [[nodiscard]] const std::vector<double>& weights() const { return weights_; }
 
-  /// Arms the arrival cursor. Same-time events fire in the order they were
-  /// scheduled, so each driver arms the cursor, its tuning timer and the
-  /// membership script in a fixed order.
+  /// Arms the arrival cursor on the simulation's stream (one per
+  /// Simulation, so one RequestLoop per Simulation). Same-time events fire
+  /// in the order they were scheduled or armed, so each driver arms the
+  /// cursor, its tuning timer and the membership script in a fixed order.
   void start_arrivals();
   /// Schedules every event of `script`. Gray failures (kDegrade, kRestore)
   /// leave membership alone, so the loop applies them itself.

@@ -14,8 +14,22 @@ anu::TimerHandle Simulation::schedule_at(SimTime when, Action action) {
   Slot& s = slot_ref(slot);
   s.action = std::move(action);
   queue_.push(when, next_seq_++, slot);
-  if (queue_.size() > max_pending_) max_pending_ = queue_.size();
+  if (pending_events() > max_pending_) max_pending_ = pending_events();
   return make_handle(slot, s.generation);
+}
+
+void Simulation::set_stream(Action action) {
+  ANU_REQUIRE(!stream_ && static_cast<bool>(action));
+  stream_ = std::move(action);
+}
+
+void Simulation::arm_stream(SimTime when) {
+  ANU_REQUIRE(when >= now_);
+  ANU_REQUIRE(static_cast<bool>(stream_) && !stream_armed_);
+  stream_time_ = when;
+  stream_seq_ = next_seq_++;
+  stream_armed_ = true;
+  if (pending_events() > max_pending_) max_pending_ = pending_events();
 }
 
 void Simulation::cancel_timer(std::uint64_t slot, std::uint64_t generation) {
@@ -35,12 +49,27 @@ bool Simulation::timer_cancelled(std::uint64_t slot,
 std::optional<SimTime> Simulation::next_event_time() {
   while (!queue_.empty()) {
     const EventKey key = queue_.min();
+    if (stream_armed_ && stream_precedes(key)) break;
     if (!slot_ref(key.slot).cancelled) return key.time;
     queue_.drop_min();
     ++cancelled_skipped_;
     release_slot(key.slot);
   }
+  if (stream_armed_) return stream_time_;
   return std::nullopt;
+}
+
+void Simulation::advance_to(SimTime time) {
+  now_ = time;
+  if (time == last_dispatch_time_) {
+    ++simultaneous_run_;
+  } else {
+    last_dispatch_time_ = time;
+    simultaneous_run_ = 1;
+  }
+  if (simultaneous_run_ > max_simultaneous_) {
+    max_simultaneous_ = simultaneous_run_;
+  }
 }
 
 std::uint64_t Simulation::run_until(SimTime until) {
@@ -52,46 +81,47 @@ std::uint64_t Simulation::run_until(SimTime until) {
     return 0;
   }
   std::uint64_t ran = 0;
-  while (!queue_.empty()) {
-    const EventKey key = queue_.min();
-    if (key.time > until) break;
-    queue_.drop_min();
-    // Dispatch order is time order, not slot order, so the slab walk is
-    // effectively random once the calendar is large. Start pulling the
-    // next event's slot in while this one executes.
-    if (const EventKey* next = queue_.staged_min()) {
-      __builtin_prefetch(&slot_ref(next->slot));
-    }
-    Slot& slot = slot_ref(key.slot);
-    if (slot.cancelled) {
-      ++cancelled_skipped_;
-      release_slot(key.slot);
-      continue;
-    }
-    now_ = key.time;
-    if (key.time == last_dispatch_time_) {
-      ++simultaneous_run_;
+  for (;;) {
+    const EventKey* head = queue_.empty() ? nullptr : &queue_.min();
+    if (stream_armed_ && (head == nullptr || stream_precedes(*head))) {
+      if (stream_time_ > until) break;
+      // Disarmed before the action runs, so the action may re-arm it.
+      stream_armed_ = false;
+      advance_to(stream_time_);
+      stream_();
     } else {
-      last_dispatch_time_ = key.time;
-      simultaneous_run_ = 1;
+      if (head == nullptr) break;
+      const EventKey key = *head;
+      if (key.time > until) break;
+      queue_.drop_min();
+      // Dispatch order is time order, not slot order, so the slab walk is
+      // effectively random once the calendar is large. Start pulling the
+      // next event's slot in while this one executes.
+      if (const EventKey* next = queue_.staged_min()) {
+        __builtin_prefetch(&slot_ref(next->slot));
+      }
+      Slot& slot = slot_ref(key.slot);
+      if (slot.cancelled) {
+        ++cancelled_skipped_;
+        release_slot(key.slot);
+        continue;
+      }
+      advance_to(key.time);
+      // Invoke straight from the slab: chunk addresses are stable, so a
+      // reentrant schedule_at — even one that grows the slab — cannot move
+      // the executing action. The slot is recycled only after it returns
+      // (a re-arming action therefore lands in a sibling slot, which the
+      // next dispatch frees right back).
+      slot.action();
+      release_slot(key.slot);
     }
-    if (simultaneous_run_ > max_simultaneous_) {
-      max_simultaneous_ = simultaneous_run_;
-    }
-    // Invoke straight from the slab: chunk addresses are stable, so a
-    // reentrant schedule_at — even one that grows the slab — cannot move
-    // the executing action. The slot is recycled only after it returns
-    // (a re-arming action therefore lands in a sibling slot, which the
-    // next dispatch frees right back).
-    slot.action();
-    release_slot(key.slot);
     ++ran;
     if (stop_requested_) break;
   }
   executed_ += ran;  // events_executed() is only read between runs
   const bool stopped = stop_requested_;
   stop_requested_ = false;
-  if (queue_.empty() || stopped) {
+  if (pending_events() == 0 || stopped) {
     // Clock still advances to the horizon so monitors reading now() at the
     // end of a bounded run see the full interval.
     if (until > now_ && until != std::numeric_limits<SimTime>::infinity()) {

@@ -19,6 +19,12 @@
 // small-buffer-optimized callable (common/small_function.h) whose 48-byte
 // inline buffer covers every capture in the tree — steady-state dispatch
 // touches the heap zero times per event.
+//
+// Beside the calendar sits one re-armable **stream** item, which the
+// request loop uses for its arrival cursor. It is ordered by the same
+// (time, seq) key as a calendar event and counted like one, but arming it
+// takes no calendar entry, slab slot or callable, so the one event that
+// fires for every arrival skips the ladder's insert and pop.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +47,11 @@ struct SimQueueStats {
   std::uint64_t executed = 0;
   /// Events popped but skipped because a handle cancelled them.
   std::uint64_t cancelled_skipped = 0;
-  /// High-water mark of the calendar (pending events, cancelled included).
+  /// High-water mark of pending events: the calendar's, cancelled events
+  /// included, plus the stream item while it is armed.
   std::uint64_t max_pending = 0;
   /// High-water mark of live slab slots — the kernel's resident footprint.
+  /// The stream item holds no slot, so it is not counted here.
   std::uint64_t slab_high_water = 0;
   /// Longest run of dispatched events sharing one timestamp: how hard the
   /// FIFO tie-break is actually working.
@@ -69,19 +77,32 @@ class Simulation final : public anu::Clock {
   /// recycled, so a stale handle can never cancel the slot's next tenant.
   anu::TimerHandle schedule_at(SimTime when, Action action) override;
 
-  /// Runs events until the calendar empties or the clock passes `until`.
-  /// Events at exactly `until` are executed. Returns events executed.
-  /// A stop() requested before the call returns immediately (0 events,
-  /// clock unchanged) and consumes the stop request.
+  /// Installs the stream's action, once. Not part of anu::Clock: only
+  /// code holding the Simulation itself arms the stream, so the realtime
+  /// clock and the protocol never see it.
+  void set_stream(Action action);
+
+  /// Arms the stream item at `when` (>= now()); the stream must be
+  /// disarmed. Arming takes the next sequence number, exactly as a
+  /// schedule_at made at this moment would, so the item fires in the place
+  /// that event would have. It is disarmed before its action runs, so the
+  /// action may re-arm it. There is no cancel.
+  void arm_stream(SimTime when);
+
+  /// Runs events until the calendar and the stream are empty or the clock
+  /// passes `until`. Events at exactly `until` are executed. Returns events
+  /// executed. A stop() requested before the call returns immediately (0
+  /// events, clock unchanged) and consumes the stop request.
   std::uint64_t run_until(SimTime until);
 
-  /// Runs until the calendar is empty.
+  /// Runs until the calendar is empty and the stream disarmed.
   std::uint64_t run_to_completion();
 
-  /// Time of the earliest event still due to fire, or nullopt when none
-  /// is. Cancelled events at the head of the calendar are discarded on the
-  /// way, exactly as run_until discards them (they count in
-  /// cancelled_skipped). Fires nothing and leaves the clock where it is.
+  /// Time of the earliest event still due to fire (the armed stream item
+  /// included), or nullopt when none is. Cancelled calendar events ahead of
+  /// it are discarded on the way, exactly as run_until discards them (they
+  /// count in cancelled_skipped). Fires nothing and leaves the clock where
+  /// it is.
   [[nodiscard]] std::optional<SimTime> next_event_time();
 
   /// Requests that the run loop stop after the current event returns. A
@@ -90,7 +111,10 @@ class Simulation final : public anu::Clock {
   void stop() { stop_requested_ = true; }
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Calendar events (cancelled ones included) plus the armed stream item.
+  [[nodiscard]] std::size_t pending_events() const {
+    return queue_.size() + (stream_armed_ ? 1 : 0);
+  }
 
   /// Kernel counters so far (cumulative across runs on this Simulation).
   [[nodiscard]] SimQueueStats queue_stats() const;
@@ -127,6 +151,15 @@ class Simulation final : public anu::Clock {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
+  /// Whether the armed stream item comes before calendar event `key`.
+  [[nodiscard]] bool stream_precedes(const EventKey& key) const {
+    return stream_time_ < key.time ||
+           (stream_time_ == key.time && stream_seq_ < key.seq);
+  }
+  /// Moves the clock to a dispatched event's time and keeps the
+  /// simultaneity counters.
+  void advance_to(SimTime time);
+
   [[nodiscard]] Slot& slot_ref(std::uint32_t slot) {
     return chunks_[slot >> kSlotChunkBits][slot & (kSlotChunkSize - 1)];
   }
@@ -140,6 +173,11 @@ class Simulation final : public anu::Clock {
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;
   LadderQueue queue_;
+
+  Action stream_;
+  SimTime stream_time_ = 0.0;
+  std::uint64_t stream_seq_ = 0;
+  bool stream_armed_ = false;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   /// Slots handed out at least once. Also the slab's high-water mark of

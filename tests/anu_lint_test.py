@@ -70,6 +70,10 @@ def main() -> int:
     if len(layering) != 1 or "uses_sim.cpp:6" not in layering[0]:
         failures.append(
             f"bad_tree: expected one [layering] finding at uses_sim.cpp:6\n{out}")
+    # Every directory whose code affects results is linted, the workload
+    # generator included.
+    if "src/workload/uses_rand.cpp:7: [raw-rng]" not in out:
+        failures.append(f"bad_tree: raw-rng not flagged in src/workload\n{out}")
     # The clock seam's directory policy: src/core must stay wall-clock-free
     # even for the "harmless" steady clock, while src/runtime (whose job is
     # real time) is exempt from wall-clock but still linted by every other

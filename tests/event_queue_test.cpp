@@ -7,7 +7,9 @@
 // cancellation, clock rules) against a deliberately naive reference model
 // that stores pending events in a flat vector and min-scans per dispatch.
 // Both run over randomized operation sequences across many seeds; any
-// divergence in fired order, clocks, or counters is a kernel bug.
+// divergence in fired order, clocks, or counters is a kernel bug. The
+// Simulation's stream item is in the mix: the model keeps it as one more
+// event in its vector, so the two must agree on where it fires.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,8 +149,26 @@ struct ModelEvent {
 std::vector<std::pair<SimTime, std::uint32_t>> spawn_children(
     std::uint32_t parent);
 
+/// Labels of stream firings carry this bit; their low bits count the arms.
+constexpr std::uint32_t kStreamLabel = 1u << 31;
+
+/// Whether firing `label` arms the stream when it is disarmed, and after
+/// what delay: a pure function shared by the Simulation and the model.
+std::optional<SimTime> stream_arm_delay(std::uint32_t label) {
+  const std::uint64_t h = mix64(label ^ 0x5eedull);
+  if ((h & 3) != 0) return std::nullopt;
+  return static_cast<double>((h >> 8) & 3) * 0.25;  // 0 ties with now()
+}
+
 class ModelSim {
  public:
+  /// Arms the stream item: one more event in the vector, not cancellable.
+  void arm_stream(SimTime when) {
+    stream_armed_ = true;
+    schedule(when, kStreamLabel | ++stream_arms_);
+  }
+  [[nodiscard]] bool stream_armed() const { return stream_armed_; }
+
   std::uint64_t schedule(SimTime when, std::uint32_t id) {
     events_.push_back({when, next_seq_, id, false});
     ++next_seq_;
@@ -180,8 +200,14 @@ class ModelSim {
       now_ = ev.time;
       fired.emplace_back(ev.id, ev.time);
       ++executed_;
+      if (ev.id & kStreamLabel) stream_armed_ = false;
       for (const auto& [delay, child_id] : spawn_children(ev.id)) {
         schedule(now_ + delay, child_id);
+      }
+      if (!stream_armed_) {
+        if (const auto delay = stream_arm_delay(ev.id)) {
+          arm_stream(now_ + *delay);
+        }
       }
     }
     if (events_.empty()) {
@@ -228,6 +254,8 @@ class ModelSim {
   }
 
   std::vector<ModelEvent> events_;
+  bool stream_armed_ = false;
+  std::uint32_t stream_arms_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_skipped_ = 0;
@@ -267,22 +295,35 @@ void run_differential_fuzz(std::uint64_t seed, bool peek = false) {
   std::vector<TimerHandle> handles;
   std::vector<std::uint64_t> model_seqs;
 
-  // In-callback behavior: record the firing, then schedule this id's
-  // children. Children recurse through the same callback.
-  struct Recorder;
+  // In-callback behavior: record the firing, schedule this id's children,
+  // then arm the stream if it is disarmed and the id says so. Children
+  // recurse through the same callback, and so does the stream.
   struct Recorder {
     Simulation& sim;
     std::vector<std::pair<std::uint32_t, SimTime>>& fired;
+    bool stream_armed = false;
+    std::uint32_t stream_arms = 0;
+    std::uint32_t stream_label = 0;
+
     void fire(std::uint32_t id) {
       fired.emplace_back(id, sim.now());
+      if (id & kStreamLabel) stream_armed = false;
       for (const auto& [delay, child] : spawn_children(id)) {
-        std::uint32_t c = child;
-        Recorder self = *this;
-        sim.schedule_after(delay, [self, c]() mutable { self.fire(c); });
+        const std::uint32_t c = child;
+        sim.schedule_after(delay, [this, c] { fire(c); });
       }
+      if (!stream_armed) {
+        if (const auto delay = stream_arm_delay(id)) arm(sim.now() + *delay);
+      }
+    }
+    void arm(SimTime when) {
+      stream_armed = true;
+      stream_label = kStreamLabel | ++stream_arms;
+      sim.arm_stream(when);
     }
   };
   Recorder recorder{sim, sim_fired};
+  sim.set_stream([&recorder] { recorder.fire(recorder.stream_label); });
 
   // Root ids are small, so roots can cascade: children take id
   // parent*4 + k, and spawn_children stops the recursion once ids pass
@@ -297,6 +338,14 @@ void run_differential_fuzz(std::uint64_t seed, bool peek = false) {
         recorder.fire(id);
       }));
       model_seqs.push_back(model.schedule(t, id));
+    }
+    // Arm a disarmed stream at top level too; both sides agree on whether
+    // it is armed as long as they agree on what fired.
+    ASSERT_EQ(recorder.stream_armed, model.stream_armed()) << "seed " << seed;
+    if (!recorder.stream_armed && rng.next_below(2) == 0) {
+      const SimTime t = draw_time(rng, sim.now());
+      recorder.arm(t);
+      model.arm_stream(t);
     }
     // Cancel a random sample of everything ever scheduled; stale handles
     // (already fired) must be harmless no-ops on both sides.
@@ -339,6 +388,7 @@ void run_differential_fuzz(std::uint64_t seed, bool peek = false) {
   const SimQueueStats stats = sim.queue_stats();
   EXPECT_EQ(stats.executed, model.executed());
   EXPECT_EQ(stats.cancelled_skipped, model.cancelled_skipped());
+  EXPECT_GT(recorder.stream_arms, 0u) << "seed " << seed;
 }
 
 TEST(SimulationDifferentialFuzz, MatchesReferenceModelAcross64Seeds) {

@@ -135,6 +135,20 @@ TEST(Matrix, RejectsUnknownTokensAndBadLoads) {
   bad_strategy.strategies = {"nope"};
   EXPECT_THROW((void)run_matrix(bad_strategy), std::runtime_error);
 
+  // A bad token after a good one is rejected before any cell runs: the
+  // output directory is never created, so no cell file is left in it.
+  auto late_profile = tiny_matrix((root / "mx_bad5").string());
+  late_profile.profiles = {"paper", "nope"};
+  std::filesystem::remove_all(late_profile.out_dir);
+  EXPECT_THROW((void)run_matrix(late_profile), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(late_profile.out_dir));
+
+  auto late_strategy = tiny_matrix((root / "mx_bad6").string());
+  late_strategy.strategies = {"jsqd", "nope"};
+  std::filesystem::remove_all(late_strategy.out_dir);
+  EXPECT_THROW((void)run_matrix(late_strategy), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(late_strategy.out_dir));
+
   auto bad_load = tiny_matrix((root / "mx_bad3").string());
   bad_load.loads = {1.5};
   EXPECT_THROW((void)run_matrix(bad_load), std::runtime_error);

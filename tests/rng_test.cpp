@@ -86,6 +86,28 @@ TEST(Xoshiro256, JumpChangesStream) {
   EXPECT_EQ(equal, 0);
 }
 
+// Known vectors: jump() and substream() must keep every stream the
+// workload generators draw from bit-identical, however they are written.
+TEST(Xoshiro256, JumpKnownVector) {
+  Xoshiro256 rng(2024);
+  rng.jump();
+  EXPECT_EQ(rng.next(), 0xdb417f51b719119cULL);
+  EXPECT_EQ(rng.next(), 0xed9e2e1c931c9a18ULL);
+  EXPECT_EQ(rng.next(), 0xcb7a29191f04638fULL);
+  EXPECT_EQ(rng.next(), 0x9f5201258a50d07aULL);
+  rng.jump();  // a jump from a state that has already advanced
+  EXPECT_EQ(rng.next(), 0x7ac08c48f06db750ULL);
+  EXPECT_EQ(rng.next(), 0x6a98643f9d64aad3ULL);
+}
+
+TEST(Xoshiro256, SubstreamKnownVector) {
+  Xoshiro256 rng = Xoshiro256::substream(42, 0);
+  EXPECT_EQ(rng.next(), 0x466616087b602b48ULL);
+  EXPECT_EQ(rng.next(), 0xda77f3300b010797ULL);
+  EXPECT_EQ(rng.next(), 0xd6386137e845a28bULL);
+  EXPECT_EQ(rng.next(), 0xfb84188e5e37b953ULL);
+}
+
 TEST(Xoshiro256, SubstreamsIndependentPerIndex) {
   Xoshiro256 a = Xoshiro256::substream(42, 0);
   Xoshiro256 b = Xoshiro256::substream(42, 1);

@@ -1,10 +1,13 @@
-// Tests for streaming statistics, histograms and time series.
+// Tests for streaming statistics, the log histogram and time series.
 #include "common/stats.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -76,29 +79,6 @@ TEST(RunningStats, StableOnShiftedData) {
   RunningStats s;
   for (int i = 0; i < 1000; ++i) s.add(1e9 + (i % 2));
   EXPECT_NEAR(s.variance(), 0.25, 1e-6);
-}
-
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.0);
-}
-
-TEST(Histogram, OverflowBucket) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(100.0);
-  h.add(-5.0);  // clamps to first bucket
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(h.bucket_count() - 1), 1u);
-}
-
-TEST(Histogram, EmptyQuantileIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
 }
 
 TEST(TimeSeries, WindowedMeanBasic) {
@@ -266,6 +246,124 @@ TEST(LogHistogram, MergeEqualsCombinedStream) {
   for (double q : {0.1, 0.5, 0.9, 0.99}) {
     EXPECT_DOUBLE_EQ(a.quantile(q), whole.quantile(q));
   }
+}
+
+// LogHistogram's bucket_of() must assign exactly the bucket its documented
+// log10 rule does, at every double, for any parameter set. The rule is
+// written out here on its own, so the class's edge table is checked
+// against the definition rather than against itself.
+struct LogParams {
+  double min_value;
+  double max_value;
+  std::size_t per_decade;
+};
+
+std::size_t log10_rule(const LogParams& p, double x) {
+  const double log_min = std::log10(p.min_value);
+  const double per_decade = static_cast<double>(p.per_decade);
+  const auto last = static_cast<std::size_t>(
+      std::ceil((std::log10(p.max_value) - log_min) * per_decade));
+  if (!(x > 0.0)) return 0;
+  const double pos = (std::log10(x) - log_min) * per_decade;
+  if (pos <= 0.0) return 0;
+  if (pos >= static_cast<double>(last)) return last;
+  return static_cast<std::size_t>(pos);
+}
+
+void expect_rule_at_every_edge_and_sample(const LogParams& p,
+                                          std::size_t random_samples) {
+  const LogHistogram h(p.min_value, p.max_value, p.per_decade);
+  const std::size_t last = h.bucket_count() - 1;
+  ASSERT_EQ(log10_rule(p, std::numeric_limits<double>::infinity()), last);
+  std::size_t mismatches = 0;
+  const auto check = [&](double x) {
+    if (h.bucket_of(x) != log10_rule(p, x) && ++mismatches <= 5) {
+      ADD_FAILURE() << "x=" << x << " (bits " << std::hex
+                    << std::bit_cast<std::uint64_t>(x) << std::dec
+                    << ") bucket_of " << h.bucket_of(x) << " rule "
+                    << log10_rule(p, x);
+    }
+  };
+  // Every edge, found from the rule alone, and 3 ulps either side.
+  for (std::size_t i = 1; i <= last; ++i) {
+    double e = h.bucket_lower(i);
+    while (e > 0.0 && log10_rule(p, e) >= i) e = std::nextafter(e, 0.0);
+    while (log10_rule(p, e) < i) {
+      e = std::nextafter(e, std::numeric_limits<double>::infinity());
+    }
+    for (int k = 0; k < 3; ++k) e = std::nextafter(e, 0.0);
+    for (int k = 0; k < 7; ++k) {
+      check(e);
+      e = std::nextafter(e, std::numeric_limits<double>::infinity());
+    }
+  }
+  // Random magnitudes, two decades beyond each end, and random bit
+  // patterns over every positive double (subnormals, +inf and NaNs too).
+  Xoshiro256 rng(0x1095);
+  const double lo = std::log10(p.min_value) - 2.0;
+  const double hi = std::log10(p.max_value) + 2.0;
+  for (std::size_t n = 0; n < random_samples; ++n) {
+    check(std::pow(10.0, lo + (hi - lo) * rng.next_double()));
+    check(std::bit_cast<double>(rng.next() >> 1));
+  }
+  // The values the rule sends to the ends.
+  for (const double x :
+       {0.0, -0.0, -1.0, -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(), p.min_value, p.max_value}) {
+    check(x);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(h.bucket_of(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(h.bucket_of(-1.0), 0u);
+  EXPECT_EQ(h.bucket_of(std::numeric_limits<double>::infinity()), last);
+}
+
+TEST(LogHistogram, BucketOfMatchesTheLog10RuleForTheDefaults) {
+  expect_rule_at_every_edge_and_sample({1e-4, 1e5, 20}, 1'500'000);
+  // The default constructor copies a histogram built with these values.
+  const LogHistogram defaults;
+  const LogHistogram built(1e-4, 1e5, 20);
+  ASSERT_EQ(defaults.bucket_count(), built.bucket_count());
+  for (std::size_t i = 0; i < built.bucket_count(); ++i) {
+    const double x = built.bucket_lower(i);
+    EXPECT_EQ(defaults.bucket_of(x), built.bucket_of(x)) << x;
+  }
+}
+
+TEST(LogHistogram, BucketOfMatchesTheLog10RuleForTheTestParameters) {
+  expect_rule_at_every_edge_and_sample({1e-3, 1e4, 50}, 1'000'000);
+  expect_rule_at_every_edge_and_sample({0.1, 10.0, 10}, 1'000'000);
+}
+
+TEST(LogHistogram, BucketOfMatchesTheLog10RuleAtTheEndsOfTheDoubles) {
+  // Edges among the subnormals, an edge past the largest double (only
+  // +inf reaches the last bucket), one bucket per decade, a first edge
+  // exactly at 2.0, where a lookup cell starts, and buckets a few hundred
+  // ulps wide.
+  expect_rule_at_every_edge_and_sample({1e-318, 1e-300, 7}, 100'000);
+  expect_rule_at_every_edge_and_sample({1e300, 1.7e308, 3}, 100'000);
+  expect_rule_at_every_edge_and_sample({1e-9, 1e9, 1}, 100'000);
+  expect_rule_at_every_edge_and_sample({0.2, 100.0, 1}, 100'000);
+  expect_rule_at_every_edge_and_sample({1.0, 1.0 + 1e-12, 10'000'000'000'000},
+                                       100'000);
+}
+
+TEST(LogHistogram, NonFiniteAndNonPositiveValuesLandAtTheEnds) {
+  LogHistogram h;
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  h.add(-3.0);
+  h.add(0.0);
+  h.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.bucket(0), 3u);
+  EXPECT_EQ(h.bucket(h.bucket_count() - 1), 1u);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@ function of (config, seed): batch and matrix JSON are byte-identical at any
 --jobs level. That only holds if result-affecting code never consults an
 ambient source of nondeterminism. This linter statically bans the known
 offenders in the result-affecting directories (src/sim, src/core,
-src/proto, src/balance, src/driver):
+src/proto, src/balance, src/driver, src/workload, src/cluster,
+src/metrics, src/faults, src/hash):
 
   wall-clock       std::chrono::{system,steady,high_resolution}_clock,
                    time(), clock(), gettimeofday, clock_gettime,
@@ -58,6 +59,11 @@ RESULT_DIRS = (
     "src/proto",
     "src/balance",
     "src/driver",
+    "src/workload",
+    "src/cluster",
+    "src/metrics",
+    "src/faults",
+    "src/hash",
 )
 
 # src/runtime hosts the realtime clock and UDP transport: wall-clock reads
