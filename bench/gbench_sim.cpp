@@ -1,5 +1,5 @@
 // google-benchmark: discrete-event engine throughput — the substrate every
-// experiment runs on. Measures raw event dispatch, the FIFO-resource
+// experiment runs on. Measures raw event dispatch, a server's FIFO
 // service loop at several queue depths, workload synthesis (which every
 // seed of every experiment pays before it simulates), and the end-to-end
 // experiment driver with tracing off vs on (the observability overhead
@@ -8,10 +8,10 @@
 
 #include <optional>
 
+#include "cluster/server.h"
 #include "driver/balancer_factory.h"
 #include "driver/experiment.h"
 #include "obs/trace_sink.h"
-#include "sim/resource.h"
 #include "sim/simulation.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
@@ -35,8 +35,8 @@ void BM_EventDispatch(benchmark::State& state) {
 BENCHMARK(BM_EventDispatch)->Arg(1024)->Arg(16384)->Arg(131072);
 
 void BM_EventChurn(benchmark::State& state) {
-  // Schedule-then-cancel-half: the timer-churn pattern of FifoResource
-  // fail() and monitor re-arms. Exercises handle cancellation and slab
+  // Schedule-then-cancel-half: the timer-churn pattern of Server::fail()
+  // and monitor re-arms. Exercises handle cancellation and slab
   // slot recycling under a clustered (97 distinct times) calendar.
   const auto batch = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -74,15 +74,16 @@ void BM_EventScheduleInterleaved(benchmark::State& state) {
 BENCHMARK(BM_EventScheduleInterleaved)->Arg(4096);
 
 void BM_FifoServiceLoop(benchmark::State& state) {
-  const auto jobs = static_cast<std::size_t>(state.range(0));
+  const auto jobs = static_cast<std::uint32_t>(state.range(0));
+  const anu::cluster::ServerHooks hooks;
   for (auto _ : state) {
     Simulation sim;
-    FifoResource resource(sim, 5.0);
-    for (std::size_t i = 0; i < jobs; ++i) {
-      resource.submit(Job{1.0, i});
+    anu::cluster::Server server(sim, anu::ServerId(0), 5.0, hooks);
+    for (std::uint32_t i = 0; i < jobs; ++i) {
+      server.submit(anu::FileSetId(i), 1.0);
     }
     sim.run_to_completion();
-    benchmark::DoNotOptimize(resource.jobs_completed());
+    benchmark::DoNotOptimize(server.requests_served());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));

@@ -9,9 +9,9 @@
 //
 //   dispatch — pre-scheduled calendar drained to completion (arrival
 //              bursts); exercises top transfer, rung scatter, bucket sort.
-//   churn    — schedule, cancel half, drain (timer churn of FifoResource
-//              fail() and monitor re-arms); exercises handle cancellation
-//              and slab slot recycling.
+//   churn    — schedule, cancel half, drain (timer churn of Server::fail()
+//              and monitor re-arms); exercises handle cancellation and
+//              slab slot recycling.
 //
 // Deliberately queue-heavy only: the one-pending-event chain pattern is
 // queue-light and lives in gbench_sim (BM_EventScheduleInterleaved).

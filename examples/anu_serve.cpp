@@ -21,26 +21,30 @@
 //
 //   anu_serve --servers 3 --port 9700 --run-seconds 6 --slow 1,1,4
 //   anu_serve --client --port 9700 --requests 200
+//
+// The flags are the only input; a malformed or out-of-range value exits 2
+// with the usage text (docs/runtime.md lists the accepted ranges).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "proto/protocol.h"
 #include "runtime/event_loop.h"
 #include "runtime/realtime_clock.h"
-#include "runtime/serve_config.h"
 #include "runtime/time_source.h"
 #include "runtime/udp_transport.h"
 
@@ -51,17 +55,43 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--servers N] [--port P] [--run-seconds S]\n"
-               "          [--slow f0,f1,...] [--config FILE] [--dump-config]\n"
+               "          [--slow f0,f1,...]\n"
                "       %s --client [--port P] [--requests N]\n",
                argv0, argv0);
   return 2;
 }
 
-std::vector<double> parse_factors(const std::string& arg) {
+// The control loop's timing is fixed: realtime demos want fast rounds.
+constexpr double kTuningInterval = 1.0;
+constexpr double kReportGrace = 0.05;
+constexpr double kHeartbeatInterval = 0.2;
+// One UDP socket per node; well inside the default descriptor limit.
+constexpr std::size_t kMaxServers = 256;
+
+/// All of `text` as a number in [lo, hi], or nullopt.
+template <class T>
+std::optional<T> parse_number(std::string_view text, T lo, T hi) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Comma-separated positive, finite factors, or nullopt.
+std::optional<std::vector<double>> parse_factors(const std::string& arg) {
   std::vector<double> out;
   std::stringstream ss(arg);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::atof(item.c_str()));
+  while (std::getline(ss, item, ',')) {
+    const auto factor = parse_number(item, std::numeric_limits<double>::min(),
+                                     std::numeric_limits<double>::max());
+    if (!factor) return std::nullopt;
+    out.push_back(*factor);
+  }
+  if (out.empty()) return std::nullopt;
   return out;
 }
 
@@ -126,25 +156,24 @@ int run_client(std::uint16_t port, int requests) {
 
 // --- server mode ------------------------------------------------------------
 
-int run_server(const runtime::ServeSpec& spec) {
+int run_server(std::size_t servers, std::uint16_t port, double run_seconds,
+               const std::vector<double>& slow) {
   runtime::SteadyTimeSource source;
   runtime::RealtimeClock clock(source);
-  runtime::UdpTransport transport(spec.servers);
+  runtime::UdpTransport transport(servers);
 
   proto::ProtocolConfig config;
-  config.tuning_interval = spec.tuning_interval;
-  config.report_grace = spec.report_grace;
-  config.use_heartbeats = spec.use_heartbeats;
-  config.heartbeat.interval = spec.heartbeat_interval;
-  config.hash_seed = spec.hash_seed;
+  config.tuning_interval = kTuningInterval;
+  config.report_grace = kReportGrace;
+  config.use_heartbeats = true;
+  config.heartbeat.interval = kHeartbeatInterval;
 
-  // Synthetic data plane: server s runs slow_factors[s] times slower than
+  // Synthetic data plane: server s runs slow[s] times slower than
   // nominal, so its interval latency is share * slow — the same model the
   // protocol tests use. Routed client keys feed the completion counts.
-  std::vector<std::uint64_t> routed(spec.servers, 0);
-  const auto& slow = spec.slow_factors;
+  std::vector<std::uint64_t> routed(servers, 0);
   proto::ProtocolCluster cluster(
-      clock, transport, config, spec.servers,
+      clock, transport, config, servers,
       [&](std::uint32_t s, UnitPoint share) {
         const double latency = share.to_double() * slow[s] * 100.0 + 1e-6;
         const auto base =
@@ -163,7 +192,7 @@ int run_server(const runtime::ServeSpec& spec) {
     std::perror("socket");
     return 1;
   }
-  sockaddr_in route_addr = loopback(spec.port);
+  sockaddr_in route_addr = loopback(port);
   if (::bind(route_fd, reinterpret_cast<const sockaddr*>(&route_addr),
              sizeof(route_addr)) != 0) {
     std::perror("bind");
@@ -201,13 +230,13 @@ int run_server(const runtime::ServeSpec& spec) {
 
   std::printf("anu_serve: %zu nodes up, heartbeats %s, routing on udp port "
               "%u, tuning every %.2fs\n",
-              spec.servers, spec.use_heartbeats ? "on" : "off",
+              servers, config.use_heartbeats ? "on" : "off",
               static_cast<unsigned>(ntohs(route_addr.sin_port)),
-              spec.tuning_interval);
+              config.tuning_interval);
   std::fflush(stdout);
 
   std::uint64_t seen_version = 0;
-  while (spec.run_seconds <= 0.0 || clock.now() < spec.run_seconds) {
+  while (run_seconds <= 0.0 || clock.now() < run_seconds) {
     loop.run_once(0.05);
     const std::uint64_t version = cluster.version_of(0);
     if (version != seen_version) {
@@ -215,7 +244,7 @@ int run_server(const runtime::ServeSpec& spec) {
       std::printf("anu_serve: retune version=%llu shares=",
                   static_cast<unsigned long long>(version));
       const auto& map = cluster.map_of(0);
-      for (std::uint32_t s = 0; s < spec.servers; ++s) {
+      for (std::uint32_t s = 0; s < servers; ++s) {
         std::printf("%s%.3f", s == 0 ? "" : ",",
                     map.share(ServerId(s)).to_double());
       }
@@ -236,66 +265,55 @@ int run_server(const runtime::ServeSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  runtime::ServeSpec spec;
-  spec.run_seconds = 0.0;
-  bool client = false;
-  bool dump = false;
-  int requests = 200;
+  std::size_t servers = 3;
+  std::uint16_t port = 9700;
+  double run_seconds = 0.0;  // 0 = until killed
   std::vector<double> slow;
+  bool client = false;
+  int requests = 200;
 
+  // Stores a parsed value; false when the value was rejected.
+  auto store = [](auto& target, auto parsed) {
+    if (parsed) target = std::move(*parsed);
+    return parsed.has_value();
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--client") {
       client = true;
-    } else if (arg == "--dump-config") {
-      dump = true;
-    } else if (arg == "--servers") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      spec.servers = static_cast<std::size_t>(std::atoi(v));
+      continue;
+    }
+    if (i + 1 == argc) return usage(argv[0]);
+    const std::string value = argv[++i];
+    bool ok = false;
+    if (arg == "--servers") {
+      ok = store(servers, parse_number<std::size_t>(value, 1, kMaxServers));
     } else if (arg == "--port") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      spec.port = static_cast<std::uint16_t>(std::atoi(v));
+      ok = store(port, parse_number<std::uint16_t>(value, 0, 65535));
     } else if (arg == "--run-seconds") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      spec.run_seconds = std::atof(v);
+      ok = store(run_seconds,
+                 parse_number(value, 0.0, std::numeric_limits<double>::max()));
     } else if (arg == "--requests") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      requests = std::atoi(v);
+      ok = store(requests,
+                 parse_number(value, 1, std::numeric_limits<int>::max()));
     } else if (arg == "--slow") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      slow = parse_factors(v);
-    } else if (arg == "--config") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      std::ifstream is(v);
-      runtime::ServeConfigError error;
-      const auto parsed = runtime::parse_serve_config(is, &error);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "%s:%zu: %s\n", v, error.line,
-                     error.message.c_str());
-        return 2;
-      }
-      spec = *parsed;
+      ok = store(slow, parse_factors(value));
     } else {
       return usage(argv[0]);
     }
+    if (!ok) {
+      std::fprintf(stderr, "%s: bad value for %s: '%s'\n", argv[0],
+                   arg.c_str(), value.c_str());
+      return usage(argv[0]);
+    }
   }
-  if (spec.servers == 0) return usage(argv[0]);
-  if (!slow.empty()) spec.slow_factors = slow;
-  spec.slow_factors.resize(spec.servers, 1.0);
+  if (slow.size() > servers) {
+    std::fprintf(stderr, "%s: %zu --slow factors for %zu servers\n", argv[0],
+                 slow.size(), servers);
+    return usage(argv[0]);
+  }
+  slow.resize(servers, 1.0);
 
-  if (dump) {
-    runtime::write_serve_config(std::cout, spec);
-    return 0;
-  }
-  if (client) return run_client(spec.port, requests);
-  return run_server(spec);
+  if (client) return run_client(port, requests);
+  return run_server(servers, port, run_seconds, slow);
 }

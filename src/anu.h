@@ -38,7 +38,6 @@
 #include "proto/wire.h"                // IWYU pragma: export
 #include "runtime/event_loop.h"        // IWYU pragma: export
 #include "runtime/realtime_clock.h"    // IWYU pragma: export
-#include "runtime/serve_config.h"      // IWYU pragma: export
 #include "runtime/time_source.h"       // IWYU pragma: export
 #include "runtime/udp_transport.h"     // IWYU pragma: export
 #include "sim/simulation.h"            // IWYU pragma: export

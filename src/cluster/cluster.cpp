@@ -54,29 +54,12 @@ std::size_t Cluster::migrate_queued(FileSetId file_set, ServerId from,
   Server& source = server(from);
   if (!source.is_up()) return 0;  // failure already flushed its queue
   source.evict(file_set);  // shedding server flushes its cache (§5.3)
-  const auto pending = source.extract_queued(file_set);
-  for (const auto& request : pending) {
-    server(to).submit(file_set, request.demand, request.arrival);
-  }
-  return pending.size();
+  return source.move_queued(file_set, server(to));
 }
 
 ServerId Cluster::add_server(double speed) {
   const auto id = ServerId(static_cast<std::uint32_t>(servers_.size()));
-  auto s = std::make_unique<Server>(sim_, id, speed, cache_);
-  s->on_complete = [this](const Completion& c) {
-    if (on_complete) on_complete(c);
-  };
-  s->on_flush = [this](FileSetId fs, double demand, std::uint64_t job_id) {
-    if (on_flush) on_flush(fs, demand, job_id);
-  };
-  s->on_start = [this](std::uint64_t job_id) {
-    if (on_start) on_start(job_id);
-  };
-  s->on_idle = [this](ServerId idle) {
-    if (on_idle) on_idle(idle);
-  };
-  servers_.push_back(std::move(s));
+  servers_.push_back(std::make_unique<Server>(sim_, id, speed, hooks, cache_));
   // Initial construction also lands here; a t=0 server_add per initial
   // server gives the trace a self-describing cluster roster.
   if (auto* t = sim_.trace()) {

@@ -2,7 +2,6 @@
 // membership (add / remove / fail / recover).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,7 +57,7 @@ class Cluster {
   ServerId add_server(double speed);
 
   /// Fails / recovers a server. Flushed in-queue requests surface through
-  /// on_flush so the driver can re-dispatch them.
+  /// hooks.on_flush so the driver can re-dispatch them.
   void fail_server(ServerId id);
   void recover_server(ServerId id);
 
@@ -68,17 +67,11 @@ class Cluster {
   void degrade_server(ServerId id, double factor);
   void restore_server(ServerId id);
 
-  /// Fired on every request completion (for metrics) and on every request
-  /// flushed by a failure (for re-dispatch; job_id is the flushed job's
-  /// cancellation id, 0 for plain requests). on_start fires with the job
-  /// id of a replica (Server::submit_replica) whose service begins — the
-  /// cancel-on-start hook of redundant dispatch. on_idle fires when an up
-  /// server's queue drains — the idle-token feed for JIQ-style dispatch
-  /// strategies (docs/strategies.md).
-  std::function<void(const Completion&)> on_complete;
-  std::function<void(FileSetId, double demand, std::uint64_t job_id)> on_flush;
-  std::function<void(std::uint64_t job_id)> on_start;
-  std::function<void(ServerId)> on_idle;
+  /// What every server reports (ServerHooks): completions for metrics,
+  /// flushed requests for re-dispatch, replica starts for cancel-on-start
+  /// and drained queues for JIQ-style dispatch (docs/strategies.md).
+  /// Declared before servers_, which refer to it.
+  ServerHooks hooks;
 
  private:
   sim::Simulation& sim_;

@@ -73,7 +73,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   } live_view(cluster);
   balancer.bind_cluster(&live_view);
   const bool per_request = balancer.per_request();
-  cluster.on_idle = [&](ServerId s) { balancer.on_server_idle(s); };
+  cluster.hooks.on_idle = [&](ServerId s) { balancer.on_server_idle(s); };
 
   // Routing table: where requests actually go. With control_delay == 0 it
   // mirrors the balancer's placement instantly; otherwise a tuning round's
@@ -223,9 +223,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         if (!rep.active || i == winner.index) continue;
         switch (loop.cluster().server(rep.server).cancel(
             job_id(winner.slot, i))) {
-          case sim::CancelOutcome::kQueued: ++cancelled_queued; break;
-          case sim::CancelOutcome::kInService: ++cancelled_in_service; break;
-          case sim::CancelOutcome::kNotFound: break;
+          case cluster::CancelOutcome::kQueued: ++cancelled_queued; break;
+          case cluster::CancelOutcome::kInService:
+            ++cancelled_in_service;
+            break;
+          case cluster::CancelOutcome::kNotFound: break;
         }
         rep.active = false;
       }
@@ -285,7 +287,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       }
     }
   } replicas{loop};
-  cluster.on_start = [&](std::uint64_t id) { replicas.on_start(id); };
+  cluster.hooks.on_start = [&](std::uint64_t id) { replicas.on_start(id); };
 
   loop.dispatch = [&](FileSetId fs, double demand) {
     if (per_request) {
@@ -305,14 +307,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   };
 
   // A replica's completion settles its race before the loop counts it.
-  cluster.on_complete = [&](const cluster::Completion& c) {
+  cluster.hooks.on_complete = [&](const cluster::Completion& c) {
     if (c.job_id != 0) replicas.on_complete(c.job_id);
     loop.complete(c);
   };
   // Requests stranded on a failing server re-dispatch: plain requests go
   // back through dispatch (placement is already updated); replicas are
   // dropped from their race and only re-dispatched when none survive.
-  cluster.on_flush = [&](FileSetId fs, double demand, std::uint64_t job_id) {
+  cluster.hooks.on_flush = [&](FileSetId fs, double demand,
+                               std::uint64_t job_id) {
     if (job_id != 0) {
       replicas.on_lost(job_id);
       return;

@@ -30,8 +30,11 @@ RequestLoop::RequestLoop(sim::Simulation& sim,
       cluster_(sim, cluster),
       latency_(cluster_.server_count(), series_window, horizon_),
       movement_(weights_) {
-  cluster_.on_complete = [this](const cluster::Completion& c) { complete(c); };
-  cluster_.on_flush = [this](FileSetId fs, double demand, std::uint64_t) {
+  cluster_.hooks.on_complete = [this](const cluster::Completion& c) {
+    complete(c);
+  };
+  cluster_.hooks.on_flush = [this](FileSetId fs, double demand,
+                                   std::uint64_t) {
     dispatch(fs, demand);
   };
 }

@@ -39,8 +39,8 @@ class RequestLoop {
 
   /// Builds the cluster on `sim`. Attach any trace sink to `sim` first, so
   /// the initial server_add roster lands in it. A zero `horizon` means the
-  /// workload's span plus one second. The cluster's on_complete goes to
-  /// complete() and its on_flush to `dispatch`; a driver that races
+  /// workload's span plus one second. The cluster's hooks.on_complete goes
+  /// to complete() and its hooks.on_flush to `dispatch`; a driver that races
   /// replicas rewires both to settle the race first.
   RequestLoop(sim::Simulation& sim, const cluster::ClusterConfig& cluster,
               const workload::Workload& workload, SimTime horizon,

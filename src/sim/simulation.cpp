@@ -119,15 +119,10 @@ std::uint64_t Simulation::run_until(SimTime until) {
     if (stop_requested_) break;
   }
   executed_ += ran;  // events_executed() is only read between runs
-  const bool stopped = stop_requested_;
   stop_requested_ = false;
-  if (pending_events() == 0 || stopped) {
-    // Clock still advances to the horizon so monitors reading now() at the
-    // end of a bounded run see the full interval.
-    if (until > now_ && until != std::numeric_limits<SimTime>::infinity()) {
-      now_ = until;
-    }
-  } else {
+  // The clock advances to a finite horizon so monitors reading now() at the
+  // end of a bounded run see the full interval, and never moves backwards.
+  if (until > now_ && until != std::numeric_limits<SimTime>::infinity()) {
     now_ = until;
   }
   return ran;

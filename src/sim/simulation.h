@@ -91,8 +91,10 @@ class Simulation final : public anu::Clock {
 
   /// Runs events until the calendar and the stream are empty or the clock
   /// passes `until`. Events at exactly `until` are executed. Returns events
-  /// executed. A stop() requested before the call returns immediately (0
-  /// events, clock unchanged) and consumes the stop request.
+  /// executed. The clock then moves to `until` if that is finite and ahead
+  /// of it; a horizon behind now() leaves it where it is. A stop()
+  /// requested before the call returns immediately (0 events, clock
+  /// unchanged) and consumes the stop request.
   std::uint64_t run_until(SimTime until);
 
   /// Runs until the calendar is empty and the stream disarmed.

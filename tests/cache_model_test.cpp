@@ -16,10 +16,11 @@ CacheConfig cache_on(std::uint32_t warmup = 4, double penalty = 3.0) {
 
 TEST(CacheModel, DisabledIsAlwaysWarm) {
   sim::Simulation sim;
-  Server server(sim, ServerId(0), 1.0);
+  ServerHooks hooks;
+  Server server(sim, ServerId(0), 1.0, hooks);
   EXPECT_DOUBLE_EQ(server.warmth(FileSetId(0)), 1.0);
   double done = 0.0;
-  server.on_complete = [&](const Completion& c) { done = c.latency(); };
+  hooks.on_complete = [&](const Completion& c) { done = c.latency(); };
   server.submit(FileSetId(0), 2.0);
   sim.run_to_completion();
   EXPECT_DOUBLE_EQ(done, 2.0);  // no penalty
@@ -27,10 +28,11 @@ TEST(CacheModel, DisabledIsAlwaysWarm) {
 
 TEST(CacheModel, ColdRequestsCostMore) {
   sim::Simulation sim;
-  Server server(sim, ServerId(0), 1.0, cache_on(4, 3.0));
+  ServerHooks hooks;
+  Server server(sim, ServerId(0), 1.0, hooks, cache_on(4, 3.0));
   EXPECT_DOUBLE_EQ(server.warmth(FileSetId(0)), 0.0);
   std::vector<double> latencies;
-  server.on_complete = [&](const Completion& c) {
+  hooks.on_complete = [&](const Completion& c) {
     latencies.push_back(c.latency());
   };
   // Sequential requests so queueing does not mix into latency: submit the
@@ -51,7 +53,8 @@ TEST(CacheModel, ColdRequestsCostMore) {
 
 TEST(CacheModel, WarmthIsPerFileSet) {
   sim::Simulation sim;
-  Server server(sim, ServerId(0), 1.0, cache_on(2, 2.0));
+  const ServerHooks hooks;
+  Server server(sim, ServerId(0), 1.0, hooks, cache_on(2, 2.0));
   server.submit(FileSetId(0), 1.0);
   server.submit(FileSetId(0), 1.0);
   sim.run_to_completion();
@@ -61,7 +64,8 @@ TEST(CacheModel, WarmthIsPerFileSet) {
 
 TEST(CacheModel, EvictMakesColdAgain) {
   sim::Simulation sim;
-  Server server(sim, ServerId(0), 1.0, cache_on(2, 2.0));
+  const ServerHooks hooks;
+  Server server(sim, ServerId(0), 1.0, hooks, cache_on(2, 2.0));
   server.submit(FileSetId(0), 1.0);
   server.submit(FileSetId(0), 1.0);
   sim.run_to_completion();
@@ -72,7 +76,8 @@ TEST(CacheModel, EvictMakesColdAgain) {
 
 TEST(CacheModel, FailureFlushesAllWarmth) {
   sim::Simulation sim;
-  Server server(sim, ServerId(0), 1.0, cache_on(1, 2.0));
+  const ServerHooks hooks;
+  Server server(sim, ServerId(0), 1.0, hooks, cache_on(1, 2.0));
   server.submit(FileSetId(3), 1.0);
   sim.run_to_completion();
   EXPECT_DOUBLE_EQ(server.warmth(FileSetId(3)), 1.0);

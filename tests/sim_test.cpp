@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "sim/resource.h"
 #include "sim/simulation.h"
 
 namespace anu::sim {
@@ -435,123 +434,6 @@ TEST(SimulationStream, ArmingInThePastOrTwiceAborts) {
       "precondition");
 }
 
-TEST(FifoResource, SingleJobLatencyIsDemandOverSpeed) {
-  Simulation sim;
-  FifoResource res(sim, 4.0);
-  double completed_at = -1.0;
-  res.on_complete = [&](SimTime t, const Job&) { completed_at = t; };
-  res.submit(Job{8.0, 0});
-  sim.run_to_completion();
-  EXPECT_DOUBLE_EQ(completed_at, 2.0);  // 8 units / speed 4
-  EXPECT_EQ(res.jobs_completed(), 1u);
-}
-
-TEST(FifoResource, JobsQueueFifo) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  std::vector<std::uint64_t> done;
-  res.on_complete = [&](SimTime, const Job& j) { done.push_back(j.tag); };
-  for (std::uint64_t i = 0; i < 3; ++i) res.submit(Job{1.0, i});
-  sim.run_to_completion();
-  EXPECT_EQ(done, (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-}
-
-TEST(FifoResource, QueueingLatencyAccumulates) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  std::vector<double> latencies;
-  res.on_complete = [&](SimTime t, const Job& j) {
-    latencies.push_back(t - j.arrival);
-  };
-  for (int i = 0; i < 3; ++i) res.submit(Job{2.0, 0});
-  sim.run_to_completion();
-  ASSERT_EQ(latencies.size(), 3u);
-  EXPECT_DOUBLE_EQ(latencies[0], 2.0);
-  EXPECT_DOUBLE_EQ(latencies[1], 4.0);
-  EXPECT_DOUBLE_EQ(latencies[2], 6.0);
-}
-
-TEST(FifoResource, HeterogeneousSpeedMatchesPaperModel) {
-  // Paper §5.1: same request costs T on speed-1 and T/9 on speed-9.
-  Simulation sim;
-  FifoResource slow(sim, 1.0);
-  FifoResource fast(sim, 9.0);
-  double slow_done = 0.0, fast_done = 0.0;
-  slow.on_complete = [&](SimTime t, const Job&) { slow_done = t; };
-  fast.on_complete = [&](SimTime t, const Job&) { fast_done = t; };
-  slow.submit(Job{9.0, 0});
-  fast.submit(Job{9.0, 0});
-  sim.run_to_completion();
-  EXPECT_DOUBLE_EQ(slow_done, 9.0);
-  EXPECT_DOUBLE_EQ(fast_done, 1.0);
-}
-
-TEST(FifoResource, SpeedChangeAppliesToNextService) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  std::vector<double> completions;
-  res.on_complete = [&](SimTime t, const Job&) { completions.push_back(t); };
-  res.submit(Job{1.0, 0});
-  res.submit(Job{1.0, 0});
-  sim.schedule_at(0.5, [&] { res.set_speed(2.0); });
-  sim.run_to_completion();
-  ASSERT_EQ(completions.size(), 2u);
-  EXPECT_DOUBLE_EQ(completions[0], 1.0);  // started before the change
-  EXPECT_DOUBLE_EQ(completions[1], 1.5);  // second runs at speed 2
-}
-
-TEST(FifoResource, FailFlushesQueueAndInflight) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  int completed = 0;
-  std::vector<std::uint64_t> flushed;
-  res.on_flush = [&](const Job& j) { flushed.push_back(j.tag); };
-  res.on_complete = [&](SimTime, const Job&) { ++completed; };
-  for (std::uint64_t i = 0; i < 3; ++i) res.submit(Job{10.0, i});
-  sim.schedule_at(1.0, [&] { res.fail(); });
-  sim.run_to_completion();
-  EXPECT_EQ(completed, 0);
-  EXPECT_EQ(flushed, (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_FALSE(res.is_up());
-}
-
-TEST(FifoResource, RecoverAfterFail) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 0});
-  sim.schedule_at(1.0, [&] {
-    res.fail();
-    res.recover();
-    res.submit(Job{1.0, 1});
-  });
-  sim.run_to_completion();
-  EXPECT_TRUE(res.is_up());
-  EXPECT_EQ(res.jobs_completed(), 1u);
-}
-
-TEST(FifoResource, UtilizationTracksBusyTime) {
-  Simulation sim;
-  FifoResource res(sim, 2.0);
-  res.submit(Job{8.0, 0});  // 4 seconds of service
-  sim.run_until(10.0);
-  EXPECT_DOUBLE_EQ(res.busy_time(), 4.0);
-  EXPECT_DOUBLE_EQ(res.utilization(10.0), 0.4);
-}
-
-TEST(FifoResource, CompletionCanResubmit) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  int completions = 0;
-  res.on_complete = [&](SimTime, const Job&) {
-    if (++completions < 3) res.submit(Job{1.0, 0});
-  };
-  res.submit(Job{1.0, 0});
-  sim.run_to_completion();
-  EXPECT_EQ(completions, 3);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-}
-
 TEST(Simulation, CancelAfterFireIsNoop) {
   Simulation sim;
   int fired = 0;
@@ -580,6 +462,22 @@ TEST(Simulation, RunUntilIsResumable) {
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
+TEST(Simulation, RunUntilNeverMovesTheClockBackwards) {
+  Simulation sim;
+  std::vector<int> fired;
+  sim.schedule_at(5.0, [&] { fired.push_back(5); });
+  sim.schedule_at(9.0, [&] { fired.push_back(9); });
+  sim.run_until(6.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 6.0);
+  // A horizon behind the clock, with an event still pending.
+  EXPECT_EQ(sim.run_until(2.0), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 6.0);
+  // Earlier than the event already fired at 5.0.
+  EXPECT_DEATH(sim.schedule_at(3.0, [] {}), "precondition");
+  sim.run_to_completion();
+  EXPECT_EQ(fired, (std::vector<int>{5, 9}));
+}
+
 TEST(Simulation, ClockAdvancesToHorizonWithoutEvents) {
   Simulation sim;
   sim.run_until(42.0);
@@ -599,206 +497,6 @@ TEST(Simulation, DeterministicUnderHeavyInterleaving) {
     return order;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(FifoResource, ExtractQueuedLeavesInFlight) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 7});  // starts service immediately
-  res.submit(Job{1.0, 7});
-  res.submit(Job{1.0, 8});
-  const auto taken =
-      res.extract_queued([](const Job& j) { return j.tag == 7; });
-  ASSERT_EQ(taken.size(), 1u);  // only the queued tag-7 job, not in-flight
-  EXPECT_EQ(res.queue_length(), 2u);  // in-flight + remaining tag-8
-}
-
-TEST(FifoResource, ExtractQueuedPreservesArrivalTimes) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 0});
-  sim.schedule_at(2.5, [&] { res.submit(Job{1.0, 1}); });
-  sim.run_until(3.0);
-  const auto taken =
-      res.extract_queued([](const Job& j) { return j.tag == 1; });
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_DOUBLE_EQ(taken[0].arrival, 2.5);
-}
-
-TEST(FifoResource, PresetArrivalPreserved) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  double latency = 0.0;
-  res.on_complete = [&](SimTime t, const Job& j) { latency = t - j.arrival; };
-  sim.schedule_at(5.0, [&] {
-    Job job{1.0, 0};
-    job.arrival = 2.0;  // migrated job keeps its original arrival
-    res.submit(job);
-  });
-  sim.run_to_completion();
-  EXPECT_DOUBLE_EQ(latency, 4.0);  // waited 3 (elsewhere) + 1 service
-}
-
-TEST(FifoResource, LongQueueKeepsFifoOrderThroughCancelAndExtract) {
-  // Enough waiting jobs that the queue drops its consumed prefix while
-  // jobs still wait, with cancels and a migration in between.
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  std::vector<std::uint64_t> done;
-  res.on_complete = [&](SimTime, const Job& j) { done.push_back(j.tag); };
-  for (std::uint64_t tag = 0; tag < 64; ++tag) {
-    Job job{1.0, tag};
-    job.id = tag + 1;
-    res.submit(job);
-  }
-  sim.run_until(20.5);  // tags 0..19 done, 20 in service
-  for (std::uint64_t tag = 30; tag < 40; ++tag) {
-    EXPECT_EQ(res.cancel(tag + 1), CancelOutcome::kQueued);
-  }
-  const auto moved =
-      res.extract_queued([](const Job& j) { return j.tag % 7 == 0; });
-  for (const Job& job : moved) res.submit(job);  // back at the tail
-  EXPECT_EQ(res.queue_length(), 44u - 10u);
-  sim.run_to_completion();
-
-  std::vector<std::uint64_t> expected;
-  for (std::uint64_t tag = 0; tag < 64; ++tag) {
-    const bool waiting = tag > 20;
-    const bool cancelled = tag >= 30 && tag < 40;
-    if (!cancelled && !(waiting && tag % 7 == 0)) expected.push_back(tag);
-  }
-  expected.insert(expected.end(), {21, 28, 42, 49, 56, 63});
-  EXPECT_EQ(done, expected);
-  EXPECT_EQ(res.jobs_completed(), 54u);
-}
-
-TEST(FifoResource, BusyTimePartialAtObservation) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  res.submit(Job{10.0, 0});
-  sim.run_until(4.0);
-  EXPECT_DOUBLE_EQ(res.busy_time(), 4.0);  // only service actually rendered
-  EXPECT_DOUBLE_EQ(res.utilization(4.0), 1.0);
-}
-
-TEST(FifoResource, FailAccountsPartialService) {
-  Simulation sim;
-  FifoResource res(sim, 2.0);
-  res.submit(Job{10.0, 0});  // 5s service at speed 2
-  sim.schedule_at(2.0, [&] { res.fail(); });
-  sim.run_until(8.0);
-  EXPECT_DOUBLE_EQ(res.busy_time(), 2.0);
-}
-
-TEST(FifoResource, CancelQueuedRemovesSilently) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  int completions = 0;
-  int flushes = 0;
-  res.on_flush = [&](const Job&) { ++flushes; };
-  res.on_complete = [&](SimTime, const Job&) { ++completions; };
-  res.submit(Job{4.0, 0});
-  Job waiting{4.0, 1};
-  waiting.id = 7;
-  res.submit(waiting);
-  EXPECT_EQ(res.queue_length(), 2u);
-
-  EXPECT_EQ(res.cancel(7), CancelOutcome::kQueued);
-  EXPECT_EQ(res.queue_length(), 1u);
-  sim.run_to_completion();
-  // Only the uncancelled job completed; the cancelled one never surfaced
-  // through on_complete or on_flush.
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(flushes, 0);
-  EXPECT_EQ(res.jobs_completed(), 1u);
-}
-
-TEST(FifoResource, CancelInServiceAbortsAndStartsNext) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  std::vector<std::uint64_t> done;
-  res.on_complete = [&](SimTime, const Job& j) { done.push_back(j.tag); };
-  Job first{10.0, 1};
-  first.id = 1;
-  res.submit(first);
-  res.submit(Job{2.0, 2});
-
-  sim.schedule_at(3.0, [&] {
-    EXPECT_EQ(res.cancel(1), CancelOutcome::kInService);
-    // The next waiting job takes over immediately.
-    EXPECT_TRUE(res.busy());
-  });
-  sim.run_to_completion();
-  // Tag-1's completion never fires; tag-2 starts at t=3 and finishes at t=5.
-  EXPECT_EQ(done, (std::vector<std::uint64_t>{2}));
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-  // Partial service (3s) plus the follow-up job (2s) count as busy time.
-  EXPECT_DOUBLE_EQ(res.busy_time(), 5.0);
-}
-
-TEST(FifoResource, CancelUnknownIdIsNotFound) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  EXPECT_EQ(res.cancel(42), CancelOutcome::kNotFound);
-  Job j{1.0, 0};
-  j.id = 5;
-  res.submit(j);
-  EXPECT_EQ(res.cancel(6), CancelOutcome::kNotFound);
-  EXPECT_EQ(res.cancel(5), CancelOutcome::kInService);
-}
-
-TEST(FifoResource, OnStartFiresSynchronouslyWhenIdle) {
-  Simulation sim;
-  FifoResource res(sim, 2.0);
-  bool started = false;
-  res.on_start = [&](SimTime t, const Job& job) {
-    started = true;
-    EXPECT_DOUBLE_EQ(t, 0.0);
-    EXPECT_EQ(job.demand, 4.0);
-  };
-  Job j{4.0, 0};
-  j.id = 1;  // on_start fires only for cancellable jobs
-  res.submit(j);
-  // The resource was idle: service began inside submit() itself.
-  EXPECT_TRUE(started);
-}
-
-TEST(FifoResource, OnStartFiresAtServiceStartWhenQueued) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  SimTime started_at = -1.0;
-  res.on_start = [&](SimTime t, const Job&) { started_at = t; };
-  res.submit(Job{3.0, 0});
-  Job j{1.0, 1};
-  j.id = 1;  // on_start fires only for cancellable jobs
-  res.submit(j);
-  EXPECT_DOUBLE_EQ(started_at, -1.0);  // still waiting
-  sim.run_to_completion();
-  EXPECT_DOUBLE_EQ(started_at, 3.0);  // when the first job finished
-}
-
-TEST(FifoResource, OnIdleFiresOnDrainNotOnFailure) {
-  Simulation sim;
-  FifoResource res(sim, 1.0);
-  int idles = 0;
-  res.on_idle = [&] { ++idles; };
-  EXPECT_EQ(idles, 0);  // initial idle state does not count
-
-  res.submit(Job{2.0, 0});
-  sim.run_to_completion();
-  EXPECT_EQ(idles, 1);  // completion drained the queue
-
-  Job j{5.0, 1};
-  j.id = 9;
-  res.submit(j);
-  EXPECT_EQ(res.cancel(9), CancelOutcome::kInService);
-  EXPECT_EQ(idles, 2);  // cancellation drained the queue
-
-  res.submit(Job{5.0, 2});
-  res.fail();
-  EXPECT_EQ(idles, 2);  // fail() is not an idle transition
-  res.recover();
-  EXPECT_EQ(idles, 2);
 }
 
 }  // namespace

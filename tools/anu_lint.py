@@ -27,7 +27,10 @@ src/metrics, src/faults, src/hash):
   layering         src/core or src/proto including from sim/, cluster/,
                    driver/ or runtime/ — the decision core and the protocol
                    see only anu::Clock and proto::Transport, so they run
-                   under the simulator and the live runtime alike.
+                   under the simulator and the live runtime alike. And
+                   src/sim including a project header from outside common/
+                   and sim/ — the event kernel sits at the bottom, under
+                   the cluster model and the realtime runtime alike.
 
 Plus two cross-checks that keep the test and bench plumbing honest:
 
@@ -76,6 +79,10 @@ RUNTIME_DIRS = ("src/runtime",)
 # proto::Transport; they may not include the layers that drive them.
 LAYERED_DIRS = ("src/core/", "src/proto/")
 DRIVER_INCLUDES = ("sim/", "cluster/", "driver/", "runtime/")
+# The event kernel runs under the cluster model and the realtime runtime,
+# so it includes no project header beyond common/ and its own.
+KERNEL_DIRS = ("src/sim/",)
+KERNEL_INCLUDES = ("common/", "sim/")
 
 # Files allowed to touch the thread pool directly: the sanctioned wrappers
 # whose contract (pre-sized result slots, sequential aggregation) is what
@@ -114,6 +121,8 @@ UNORDERED_DECL_RE = re.compile(
 # three-clause for (which contains `;`) is rejected after the match.
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?(?<!:):(?!:)\s*([^)]+)\)")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+# Project headers are included with quotes, system headers with <>.
+PROJECT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"')
 ALLOW_RE = re.compile(r"anu-lint:\s*allow\(([\w-]+)\)\s*(.*)")
 
 
@@ -316,6 +325,19 @@ def lint_source_file(path: Path, skip_rules: frozenset[str] = frozenset()
                         "(use anu::Clock / proto::Transport)",
                     )
                 )
+    if rel is not None and rel.startswith(KERNEL_DIRS):
+        for lineno, inc in directives:
+            if (PROJECT_INCLUDE_RE.match(raw_lines[lineno - 1])
+                    and not inc.startswith(KERNEL_INCLUDES)):
+                findings.append(
+                    Finding(
+                        path,
+                        lineno,
+                        "layering",
+                        f"{inc} included from the event kernel "
+                        "(src/sim includes only common/ and sim/)",
+                    )
+                )
 
     out = suppressions(raw_lines, findings)
     for f in out:
@@ -419,7 +441,7 @@ def main() -> int:
         print("unordered-iter: iteration over unordered container")
         print("pool-order: direct thread-pool use outside driver/sweep")
         print("layering: src/core or src/proto includes sim/cluster/driver/"
-              "runtime")
+              "runtime; src/sim includes beyond common/sim")
         print("test-registration: tests/*_test.cpp missing from CMake")
         print("baseline-missing/baseline-orphan: CI vs bench/baselines drift")
         return 0
