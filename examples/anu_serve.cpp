@@ -30,7 +30,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -38,10 +37,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/parse_number.h"
 #include "proto/protocol.h"
 #include "runtime/event_loop.h"
 #include "runtime/realtime_clock.h"
@@ -67,18 +66,6 @@ constexpr double kReportGrace = 0.05;
 constexpr double kHeartbeatInterval = 0.2;
 // One UDP socket per node; well inside the default descriptor limit.
 constexpr std::size_t kMaxServers = 256;
-
-/// All of `text` as a number in [lo, hi], or nullopt.
-template <class T>
-std::optional<T> parse_number(std::string_view text, T lo, T hi) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || stop != end || !(value >= lo && value <= hi)) {
-    return std::nullopt;
-  }
-  return value;
-}
 
 /// Comma-separated positive, finite factors, or nullopt.
 std::optional<std::vector<double>> parse_factors(const std::string& arg) {

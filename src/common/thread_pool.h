@@ -3,9 +3,12 @@
 // run_indexed runs one batch on its calling thread plus up to
 // parallelism-1 helper threads. Every participant claims indices from one
 // atomic counter, and the call joins each helper before it returns, so no
-// thread outlives its batch. The jobs are whole simulations, a millisecond
-// or more each, so one shared index schedules them as well as work
-// stealing would, and starting a helper (tens of microseconds) is noise.
+// thread outlives its batch. The jobs are whole simulations (a millisecond
+// or more each) or the pieces of one workload synthesis: one file set's
+// stream (tens to hundreds of microseconds) or one time bucket of its
+// layout (a few microseconds, a thousand to a batch). Either way one shared
+// index schedules them as well as work stealing would, and starting a
+// helper (tens of microseconds) is small next to a batch.
 //
 // Helpers come from one process-wide budget of hardware_concurrency() - 1
 // live threads. A batch that finds the budget used up runs on its caller,

@@ -22,10 +22,13 @@ void AnuBalancer::register_file_sets(
     const std::vector<workload::FileSet>& file_sets) {
   names_.clear();
   names_.reserve(file_sets.size());
+  probe_points_.clear();
+  probe_points_.reserve(file_sets.size());
   weights_.clear();
   weights_.reserve(file_sets.size());
   for (const auto& fs : file_sets) {
     names_.push_back(fs.name);
+    probe_points_.push_back(probe_points(family_, fs.name));
     weights_.push_back(fs.weight > 0.0 ? fs.weight : 1.0);
   }
   placement_ = resolve_all();
@@ -73,8 +76,11 @@ std::vector<ServerId> AnuBalancer::resolve_all() const {
   std::vector<ServerId> placed;
   placed.reserve(names_.size());
   if (config_.placement_choices <= 1) {
-    for (const std::string& name : names_) {
-      placed.push_back(locate(name).server);
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      placed.push_back(core::locate(family_, regions_, names_[i],
+                                    probe_points_[i],
+                                    config_.max_probe_rounds)
+                           .server);
     }
     return placed;
   }
@@ -91,8 +97,9 @@ std::vector<ServerId> AnuBalancer::resolve_all() const {
   std::array<Lookup, 8> set;  // placement_choices <= 8
   const auto slots = std::span(set).first(config_.placement_choices);
   for (std::size_t i = 0; i < names_.size(); ++i) {
-    const std::size_t found = probe_distinct(
-        family_, regions_, names_[i], config_.max_probe_rounds, slots);
+    const std::size_t found =
+        probe_distinct(family_, regions_, names_[i], probe_points_[i],
+                       config_.max_probe_rounds, slots);
     ServerId pick = set[0].server;
     double best = pressure(pick, weights_[i]);
     for (std::size_t c = 1; c < found; ++c) {

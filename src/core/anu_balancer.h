@@ -106,6 +106,7 @@ class AnuBalancer final : public balance::LoadBalancer {
   RegionMap regions_;
   std::vector<bool> up_;
   std::vector<std::string> names_;           // per file set
+  std::vector<ProbePoints> probe_points_;    // per file set
   std::vector<double> weights_;              // per file set
   std::vector<ServerId> placement_;          // per file set
   std::vector<std::optional<balance::ServerReport>> pending_;  // per server

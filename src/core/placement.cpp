@@ -6,14 +6,31 @@
 
 namespace anu::core {
 
+ProbePoints probe_points(const HashFamily& family, std::string_view key) {
+  ProbePoints points;
+  for (std::uint32_t r = 0; r < points.size(); ++r) {
+    points[r] = family.unit_point(key, r);
+  }
+  return points;
+}
+
 std::size_t probe_distinct(const HashFamily& family, const RegionMap& map,
                            std::string_view key,
+                           std::uint32_t max_probe_rounds,
+                           std::span<Lookup> out) {
+  return probe_distinct(family, map, key, {}, max_probe_rounds, out);
+}
+
+std::size_t probe_distinct(const HashFamily& family, const RegionMap& map,
+                           std::string_view key,
+                           std::span<const UnitPoint> points,
                            std::uint32_t max_probe_rounds,
                            std::span<Lookup> out) {
   ANU_REQUIRE(!out.empty());
   std::size_t found = 0;
   for (std::uint32_t r = 0; r < max_probe_rounds && found < out.size(); ++r) {
-    const auto owner = map.owner_at(family.unit_point(key, r));
+    const auto owner = map.owner_at(
+        r < points.size() ? points[r] : family.unit_point(key, r));
     if (!owner) continue;
     const auto earlier = out.first(found);
     if (std::none_of(earlier.begin(), earlier.end(),
@@ -27,8 +44,14 @@ std::size_t probe_distinct(const HashFamily& family, const RegionMap& map,
 
 Lookup locate(const HashFamily& family, const RegionMap& map,
               std::string_view key, std::uint32_t max_probe_rounds) {
+  return locate(family, map, key, {}, max_probe_rounds);
+}
+
+Lookup locate(const HashFamily& family, const RegionMap& map,
+              std::string_view key, std::span<const UnitPoint> points,
+              std::uint32_t max_probe_rounds) {
   Lookup owner;
-  probe_distinct(family, map, key, max_probe_rounds,
+  probe_distinct(family, map, key, points, max_probe_rounds,
                  std::span<Lookup>(&owner, 1));
   return owner;
 }

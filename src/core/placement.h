@@ -11,6 +11,7 @@
 // cleared, and membership handling outside a round.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -33,6 +34,13 @@ struct Lookup {
   std::uint32_t probes = 0;
 };
 
+/// A key's first probe points, H_0(key) .. H_3(key), hashed once for a key
+/// that is located again under every new map (a registered file set).
+/// Half the interval is mapped, so four probes settle 15 lookups in 16.
+using ProbePoints = std::array<UnitPoint, 4>;
+[[nodiscard]] ProbePoints probe_points(const HashFamily& family,
+                                       std::string_view key);
+
 /// Re-hash addressing: probes H_0(key), H_1(key), ... and fills `out` with
 /// the first out.size() probes that land on distinct servers, in probe
 /// order. Returns how many it filled: fewer when fewer distinct servers are
@@ -44,9 +52,21 @@ std::size_t probe_distinct(const HashFamily& family, const RegionMap& map,
                            std::uint32_t max_probe_rounds,
                            std::span<Lookup> out);
 
+/// The same, reading probe r from `points[r]` where the key's points were
+/// hashed beforehand (probe_points) and hashing only the probes past them.
+std::size_t probe_distinct(const HashFamily& family, const RegionMap& map,
+                           std::string_view key,
+                           std::span<const UnitPoint> points,
+                           std::uint32_t max_probe_rounds,
+                           std::span<Lookup> out);
+
 /// The key's owner: the first mapped probe (probe_distinct with one slot).
 [[nodiscard]] Lookup locate(const HashFamily& family, const RegionMap& map,
                             std::string_view key,
+                            std::uint32_t max_probe_rounds);
+[[nodiscard]] Lookup locate(const HashFamily& family, const RegionMap& map,
+                            std::string_view key,
+                            std::span<const UnitPoint> points,
                             std::uint32_t max_probe_rounds);
 
 /// One delegate round: feeds run_delegate_round every server's current

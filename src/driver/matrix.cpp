@@ -94,7 +94,7 @@ MatrixResult run_matrix(const MatrixConfig& config) {
     throw std::runtime_error("matrix: empty dimension");
   }
   for (const double load : config.loads) {
-    if (load <= 0.0 || load >= 1.0) {
+    if (!(load > 0.0 && load < 1.0)) {  // NaN included
       throw std::runtime_error("matrix: load must be in (0, 1)");
     }
   }

@@ -55,6 +55,11 @@ ProtocolCluster::ProtocolCluster(anu::Clock& clock, Transport& network,
 
 void ProtocolCluster::register_file_sets(std::vector<std::string> names) {
   file_sets_ = std::move(names);
+  probe_points_.clear();
+  probe_points_.reserve(file_sets_.size());
+  for (const std::string& name : file_sets_) {
+    probe_points_.push_back(core::probe_points(family_, name));
+  }
   last_resolved_.reset();  // resolved against the old file sets
   for (Node& node : nodes_) node.table = resolve(node.table->map);
 }
@@ -176,9 +181,9 @@ std::shared_ptr<const ProtocolCluster::OwnerTable> ProtocolCluster::resolve(
   owner.reserve(file_sets_.size());
   std::vector<std::vector<std::uint32_t>> owned(nodes_.size());
   for (std::uint32_t fs = 0; fs < file_sets_.size(); ++fs) {
-    owner.push_back(
-        core::locate(family_, map, file_sets_[fs], config_.max_probe_rounds)
-            .server);
+    owner.push_back(core::locate(family_, map, file_sets_[fs],
+                                 probe_points_[fs], config_.max_probe_rounds)
+                        .server);
     owned[owner.back().value()].push_back(fs);
   }
   last_resolved_ = std::make_shared<const OwnerTable>(

@@ -44,6 +44,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 
+#include "core/placement.h"
 #include "core/region_map.h"
 #include "core/tuner.h"
 #include "hash/hash_family.h"
@@ -237,6 +238,7 @@ class ProtocolCluster {
   std::vector<Node> nodes_;
   std::vector<HeartbeatView> views_;  // one per node (heartbeat mode)
   std::vector<std::string> file_sets_;
+  std::vector<core::ProbePoints> probe_points_;  // per file set
   std::shared_ptr<const OwnerTable> last_resolved_;
   std::uint64_t published_ = 0;
   std::uint64_t tables_requested_ = 0;

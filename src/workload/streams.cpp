@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/assert.h"
+// Below driver::run_indexed, so the batch comes from the pool itself. Each
+// job writes only its own pre-sized, disjoint range of the request array,
+// so the workload is the same bits at any parallelism or completion order.
+// anu-lint: allow(pool-order) jobs write only disjoint, pre-sized ranges
+#include "common/thread_pool.h"
+
 namespace anu::workload {
 
 std::span<const double> StreamDraws::renewal(std::size_t count,
@@ -37,6 +44,38 @@ std::span<const double> StreamDraws::demands(std::size_t count,
   }
   demands_.resize(count);
   return demands_;
+}
+
+void draw_streams(std::span<const std::size_t> counts,
+                  const StreamShape& shape, std::span<Request> requests,
+                  const std::function<double(double)>& warp) {
+  // File set i's slice starts at the sum of the counts before it.
+  std::vector<std::size_t> starts(counts.size() + 1, 0);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    ANU_REQUIRE(counts[i] > 0);
+    starts[i + 1] = starts[i] + counts[i];
+  }
+  ANU_REQUIRE(starts.back() == requests.size());
+  run_indexed(counts.size(), [&](std::size_t i) {
+    const auto id = FileSetId(static_cast<std::uint32_t>(i));
+    Xoshiro256 rng =
+        Xoshiro256::substream(shape.seed, shape.substream_base + i);
+    StreamDraws draws;
+    // Rescale the renewal process so its last arrival lands on the span.
+    // Rescaling preserves burst structure (ratios between gaps) while
+    // hitting the exact request count.
+    const auto times = draws.renewal(counts[i], shape.gap, rng);
+    const double scale = shape.span / times.back();
+    const auto demands =
+        draws.demands(counts[i], shape.mean_demand, shape.sigma, rng);
+    const auto out = requests.subspan(starts[i], counts[i]);
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      out[j] = Request{times[j] * scale, id, demands[j]};
+    }
+    if (warp) {
+      for (Request& r : out) r.arrival = warp(r.arrival);
+    }
+  });
 }
 
 namespace {
@@ -132,9 +171,8 @@ void split(std::span<Request> range, SplitBuffers& buf) {
       buf);
 }
 
-}  // namespace
-
-void order_by_arrival(std::span<Request> requests) {
+/// order_by_arrival on one thread.
+void order_serial(std::span<Request> requests) {
   struct Range {
     std::size_t begin;
     std::size_t end;
@@ -167,6 +205,24 @@ void order_by_arrival(std::span<Request> requests) {
     } while (j > 0 && before(moving, requests[j - 1]));
     requests[j] = moving;
   }
+}
+
+}  // namespace
+
+void order_by_arrival(std::span<Request> requests) {
+  SplitBuffers first;
+  if (requests.size() > kScatterMax) split(requests, first);
+  const std::vector<std::size_t>& starts = first.starts;
+  if (starts.empty()) {
+    order_serial(requests);
+    return;
+  }
+  // Every key in a bucket is smaller than every key in the next, so no
+  // insertion crosses a bucket edge: each bucket is finished alone, just as
+  // order_serial would finish it.
+  run_indexed(starts.size() - 1, [&](std::size_t b) {
+    order_serial(requests.subspan(starts[b], starts[b + 1] - starts[b]));
+  });
 }
 
 }  // namespace anu::workload

@@ -1,6 +1,7 @@
 #include "workload/synthetic.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/assert.h"
@@ -20,7 +21,7 @@ double synthetic_mean_demand(const SyntheticConfig& config) {
 Workload make_synthetic_workload(const SyntheticConfig& config) {
   ANU_REQUIRE(config.file_set_count > 0);
   ANU_REQUIRE(config.request_count >= config.file_set_count);
-  ANU_REQUIRE(config.duration > 0.0);
+  ANU_REQUIRE(config.duration > 0.0 && std::isfinite(config.duration));
   ANU_REQUIRE(config.weight_hi >= config.weight_lo && config.weight_lo > 0.0);
   ANU_REQUIRE(config.target_utilization > 0.0 &&
               config.target_utilization < 1.0);
@@ -67,28 +68,23 @@ Workload make_synthetic_workload(const SyntheticConfig& config) {
       mean_demand * static_cast<double>(config.request_count);
   const double c = total_demand / x_sum;
 
-  std::vector<Request> requests;
-  requests.reserve(config.request_count);
+  for (std::size_t i = 0; i < config.file_set_count; ++i) {
+    file_sets.push_back(FileSet{FileSetId(static_cast<std::uint32_t>(i)),
+                                "fileset/" + std::to_string(i), x[i] * c});
+  }
   const double gap_lo = 1.0;
   const BoundedPareto gap(config.pareto_shape, gap_lo,
                           gap_lo * config.pareto_bound_ratio);
-  StreamDraws draws;
-  for (std::size_t i = 0; i < config.file_set_count; ++i) {
-    const auto id = FileSetId(static_cast<std::uint32_t>(i));
-    file_sets.push_back(
-        FileSet{id, "fileset/" + std::to_string(i), x[i] * c});
-    Xoshiro256 rng = Xoshiro256::substream(config.seed, 1000 + i);
-    // Rescale the renewal process so the last arrival lands just inside the
-    // run. Rescaling preserves burst structure (ratios between gaps) while
-    // hitting the exact request count.
-    const auto times = draws.renewal(counts[i], gap, rng);
-    const double scale = config.duration * 0.999 / times.back();
-    const auto demands = draws.demands(counts[i], mean_demand,
-                                       config.demand_jitter_sigma, rng);
-    for (std::size_t j = 0; j < counts[i]; ++j) {
-      requests.push_back(Request{times[j] * scale, id, demands[j]});
-    }
-  }
+  // Each stream's last arrival lands just inside the run.
+  std::vector<Request> requests(config.request_count);
+  draw_streams(counts,
+               StreamShape{.seed = config.seed,
+                           .substream_base = 1000,
+                           .gap = gap,
+                           .span = config.duration * 0.999,
+                           .mean_demand = mean_demand,
+                           .sigma = config.demand_jitter_sigma},
+               requests);
   order_by_arrival(requests);
   return Workload(std::move(file_sets), std::move(requests));
 }

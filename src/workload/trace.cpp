@@ -107,6 +107,7 @@ std::optional<Workload> read_trace_file(const std::string& path,
 Workload synthesize_trace(const TraceSynthConfig& config) {
   ANU_REQUIRE(config.file_set_count > 0);
   ANU_REQUIRE(config.request_count >= config.file_set_count);
+  ANU_REQUIRE(config.duration > 0.0 && std::isfinite(config.duration));
   ANU_REQUIRE(config.intensity_modulation >= 0.0 &&
               config.intensity_modulation < 1.0);
 
@@ -151,30 +152,28 @@ Workload synthesize_trace(const TraceSynthConfig& config) {
   };
 
   std::vector<FileSet> file_sets;
-  std::vector<Request> requests;
-  requests.reserve(config.request_count);
   double total_weight_factor = 0.0;
   for (std::size_t i = 0; i < config.file_set_count; ++i) {
     total_weight_factor += static_cast<double>(counts[i]);
   }
   const double total_demand =
       mean_demand * static_cast<double>(config.request_count);
-  StreamDraws draws;
   for (std::size_t i = 0; i < config.file_set_count; ++i) {
-    const auto id = FileSetId(static_cast<std::uint32_t>(i));
     const double weight =
         total_demand * static_cast<double>(counts[i]) / total_weight_factor;
-    file_sets.push_back(FileSet{id, "trace/fs" + std::to_string(i), weight});
-    Xoshiro256 rng = Xoshiro256::substream(config.seed, 2000 + i);
-    // Renewal process on virtual time, rescaled into [0, 1), then warped.
-    const auto virtuals = draws.renewal(counts[i], gap, rng);
-    const double scale = 0.999 / virtuals.back();
-    const auto demands = draws.demands(counts[i], mean_demand,
-                                       config.demand_jitter_sigma, rng);
-    for (std::size_t j = 0; j < counts[i]; ++j) {
-      requests.push_back(Request{warp(virtuals[j] * scale), id, demands[j]});
-    }
+    file_sets.push_back(FileSet{FileSetId(static_cast<std::uint32_t>(i)),
+                                "trace/fs" + std::to_string(i), weight});
   }
+  // Renewal processes on virtual time, rescaled into [0, 1), then warped.
+  std::vector<Request> requests(config.request_count);
+  draw_streams(counts,
+               StreamShape{.seed = config.seed,
+                           .substream_base = 2000,
+                           .gap = gap,
+                           .span = 0.999,
+                           .mean_demand = mean_demand,
+                           .sigma = config.demand_jitter_sigma},
+               requests, warp);
   order_by_arrival(requests);
   return Workload(std::move(file_sets), std::move(requests));
 }

@@ -1,6 +1,6 @@
 #include "workload/workload.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -12,11 +12,10 @@ Workload::Workload(std::vector<FileSet> file_sets,
   for (std::size_t i = 0; i < file_sets_.size(); ++i) {
     ANU_REQUIRE(file_sets_[i].id == FileSetId(static_cast<std::uint32_t>(i)));
   }
-  ANU_REQUIRE(std::is_sorted(
-      requests_.begin(), requests_.end(),
-      [](const Request& a, const Request& b) { return a.arrival < b.arrival; }));
-  for (const Request& r : requests_) {
-    ANU_REQUIRE(r.file_set.value() < file_sets_.size());
+  // One pass over the requests: in time order, each of a known file set.
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
+    ANU_REQUIRE(requests_[i].file_set.value() < file_sets_.size());
+    ANU_REQUIRE(i == 0 || !(requests_[i].arrival < requests_[i - 1].arrival));
   }
 }
 

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <thread>
 
+#include "common/thread_pool.h"
 #include "series_hash.h"
 #include "workload/streams.h"
 #include "workload/synthetic.h"
@@ -337,15 +341,47 @@ std::uint64_t workload_hash(const Workload& w) {
   return hash;
 }
 
+// Runs `fn` inside a run_indexed batch that holds every helper the
+// process-wide budget has, so each batch `fn` starts finds none free and runs
+// inline, in index order: the path a synthesis inside `anu_sim --seeds`
+// takes. Every participant holds one job until `fn` returns; the wait for
+// them to start is bounded, in case the batch got fewer helpers than it
+// asked for.
+template <class Fn>
+void with_every_helper_held(Fn fn) {
+  const std::size_t participants =
+      std::max(1u, std::thread::hardware_concurrency());
+  std::atomic<std::size_t> started{0};
+  std::atomic<bool> done{false};
+  run_indexed(participants, [&](std::size_t i) {
+    ++started;
+    if (i > 0) {
+      done.wait(false);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < participants &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    fn();
+    done = true;
+    done.notify_all();
+  });
+}
+
 // Golden pins: each literal was captured from the generators as they were
 // when requests were still put in order by a comparison sort, so a change
-// to the draw path or the layout that moves a single bit fails here.
-TEST(WorkloadPin, SyntheticPaperDefault) {
+// to the draw path or the layout that moves a single bit fails here. Each
+// check runs in its own test, outside any batch, where the synthesis's
+// batches get helpers, and again inline in WorkloadPin.InlineInAFullBatch.
+void pin_synthetic_paper_default() {
   EXPECT_EQ(workload_hash(make_synthetic_workload(SyntheticConfig{})),
             0xdea477783e4a0d13ULL);
 }
 
-TEST(WorkloadPin, SyntheticChurnShape) {
+void pin_synthetic_churn_shape() {
   // perfbench's protocol_churn workload: 4,096 file sets over 80 two-minute
   // rounds on 64 servers cycling the paper speeds (capacity 316).
   SyntheticConfig config;
@@ -357,21 +393,21 @@ TEST(WorkloadPin, SyntheticChurnShape) {
             0xd9c7ec835cd2e98cULL);
 }
 
-TEST(WorkloadPin, SyntheticFlatDemand) {
+void pin_synthetic_flat_demand() {
   SyntheticConfig config;
   config.demand_jitter_sigma = 0.0;
   EXPECT_EQ(workload_hash(make_synthetic_workload(config)),
             0x4ab2401b3b3e1ed7ULL);
 }
 
-TEST(WorkloadPin, SyntheticOneRequestPerFileSet) {
+void pin_synthetic_one_request_per_file_set() {
   SyntheticConfig config;
   config.request_count = config.file_set_count;
   EXPECT_EQ(workload_hash(make_synthetic_workload(config)),
             0xb4614f34112e7946ULL);
 }
 
-TEST(WorkloadPin, SyntheticClusteredArrivals) {
+void pin_synthetic_clustered_arrivals() {
   SyntheticConfig config;
   config.pareto_shape = 1.01;
   config.pareto_bound_ratio = 1e6;
@@ -379,21 +415,47 @@ TEST(WorkloadPin, SyntheticClusteredArrivals) {
             0xd2da3ec163042ed9ULL);
 }
 
-TEST(WorkloadPin, TraceDefault) {
+void pin_trace_default() {
   EXPECT_EQ(workload_hash(synthesize_trace(TraceSynthConfig{})),
             0x65b5115feb21c175ULL);
 }
 
-TEST(WorkloadPin, TraceStationary) {
+void pin_trace_stationary() {
   TraceSynthConfig config;
   config.intensity_modulation = 0.0;
   EXPECT_EQ(workload_hash(synthesize_trace(config)), 0x6112e5d9b46689eaULL);
 }
 
-TEST(WorkloadPin, TraceDeepModulation) {
+void pin_trace_deep_modulation() {
   TraceSynthConfig config;
   config.intensity_modulation = 0.9;
   EXPECT_EQ(workload_hash(synthesize_trace(config)), 0x1b046bb1d308caddULL);
+}
+
+TEST(WorkloadPin, SyntheticPaperDefault) { pin_synthetic_paper_default(); }
+TEST(WorkloadPin, SyntheticChurnShape) { pin_synthetic_churn_shape(); }
+TEST(WorkloadPin, SyntheticFlatDemand) { pin_synthetic_flat_demand(); }
+TEST(WorkloadPin, SyntheticOneRequestPerFileSet) {
+  pin_synthetic_one_request_per_file_set();
+}
+TEST(WorkloadPin, SyntheticClusteredArrivals) {
+  pin_synthetic_clustered_arrivals();
+}
+TEST(WorkloadPin, TraceDefault) { pin_trace_default(); }
+TEST(WorkloadPin, TraceStationary) { pin_trace_stationary(); }
+TEST(WorkloadPin, TraceDeepModulation) { pin_trace_deep_modulation(); }
+
+TEST(WorkloadPin, InlineInAFullBatch) {
+  with_every_helper_held([] {
+    pin_synthetic_paper_default();
+    pin_synthetic_churn_shape();
+    pin_synthetic_flat_demand();
+    pin_synthetic_one_request_per_file_set();
+    pin_synthetic_clustered_arrivals();
+    pin_trace_default();
+    pin_trace_stationary();
+    pin_trace_deep_modulation();
+  });
 }
 
 // order_by_arrival against the comparison sort it replaced, on inputs the
@@ -464,6 +526,46 @@ TEST(OrderByArrival, BucketEdgesAndLastInstant) {
     if (times[fs].back() != 1024.0) times[fs].push_back(1024.0);
   }
   expect_sort_order(streams(times));
+}
+
+// Past 4,096 requests the first split runs in place and its buckets are
+// finished as parallel jobs; these two meet both kinds of split there.
+TEST(OrderByArrival, ExactTiesAcrossFileSetsPastTheScatterLimit) {
+  // 200 file sets, each with arrivals at the same 30 instants: 6,000
+  // requests.
+  std::vector<std::vector<double>> times(200);
+  for (auto& stream : times) {
+    for (int k = 0; k < 30; ++k) stream.push_back(0.5 * k);
+  }
+  expect_sort_order(streams(times));
+}
+
+TEST(OrderByArrival, EveryArrivalEqualPastTheScatterLimit) {
+  // 6,000 requests at one instant: the first split is over file-set ids.
+  std::vector<std::vector<double>> times(300, std::vector<double>(20, 5.0));
+  expect_sort_order(streams(times));
+}
+
+TEST(OrderByArrival, SameOrderInlineAndWithHelpers) {
+  // Requests equal in both keys keep no particular order, but the one they
+  // keep must not depend on the parallelism: 12,000 requests with many
+  // such ties, each carrying its input position as its demand.
+  std::vector<std::vector<double>> times(60);
+  for (std::size_t fs = 0; fs < times.size(); ++fs) {
+    for (std::size_t k = 0; k < 200; ++k) {
+      times[fs].push_back(0.25 * static_cast<double>((k * 7 + fs) % 50));
+    }
+  }
+  std::vector<Request> with_helpers = streams(times);
+  for (std::size_t i = 0; i < with_helpers.size(); ++i) {
+    with_helpers[i].demand = static_cast<double>(i);
+  }
+  std::vector<Request> in_line = with_helpers;
+  order_by_arrival(with_helpers);
+  with_every_helper_held([&] { order_by_arrival(in_line); });
+  for (std::size_t i = 0; i < in_line.size(); ++i) {
+    ASSERT_EQ(in_line[i].demand, with_helpers[i].demand) << "position " << i;
+  }
 }
 
 TEST(OrderByArrival, OneRequest) {

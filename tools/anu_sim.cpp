@@ -45,11 +45,12 @@
 // latency time series for plotting.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 
+#include "common/parse_number.h"
 #include "common/table.h"
 #include "driver/batch.h"
 #include "driver/chaos.h"
@@ -451,18 +452,25 @@ int run_matrix_cli(std::size_t seeds, std::size_t jobs,
   if (!options.servers.empty()) {
     config.server_counts.clear();
     for (const std::string& k : split_csv(options.servers)) {
-      const std::size_t servers = std::strtoull(k.c_str(), nullptr, 10);
-      if (servers == 0) {
+      const auto servers = parse_number(
+          k, std::size_t{1}, std::numeric_limits<std::size_t>::max());
+      if (!servers) {
         std::fprintf(stderr, "bad --servers value: %s\n", k.c_str());
         return 2;
       }
-      config.server_counts.push_back(servers);
+      config.server_counts.push_back(*servers);
     }
   }
   if (!options.loads.empty()) {
     config.loads.clear();
     for (const std::string& u : split_csv(options.loads)) {
-      config.loads.push_back(std::strtod(u.c_str(), nullptr));
+      // A utilization strictly inside (0, 1).
+      const auto load = parse_number(u, 0.0, 1.0);
+      if (!load || *load == 0.0 || *load == 1.0) {
+        std::fprintf(stderr, "bad --loads value: %s\n", u.c_str());
+        return 2;
+      }
+      config.loads.push_back(*load);
     }
   }
 
@@ -567,6 +575,20 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as a non-negative integer into `out`; on a bad
+/// value names it on stderr and returns false.
+template <class T>
+bool count_arg(const char* flag, const char* text, T& out) {
+  const auto parsed =
+      parse_number(text, T{0}, std::numeric_limits<T>::max());
+  if (!parsed) {
+    std::fprintf(stderr, "bad %s value: %s\n", flag, text);
+    return false;
+  }
+  out = *parsed;
+  return true;
+}
+
 int main(int argc, char** argv) {
   if (argc == 2 && std::strcmp(argv[1], "--example") == 0) {
     std::fputs(kExample, stdout);
@@ -609,7 +631,7 @@ int main(int argc, char** argv) {
       matrix_options.strategies = argv[++i];
     } else if (std::strcmp(arg, "--chaos-seed") == 0 && i + 1 < argc) {
       chaos = true;
-      chaos_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!count_arg(arg, argv[++i], chaos_seed)) return 2;
     } else if (std::strcmp(arg, "--chaos-profile") == 0 && i + 1 < argc) {
       const auto parsed = parse_chaos_profile(argv[++i]);
       if (!parsed) {
@@ -619,9 +641,9 @@ int main(int argc, char** argv) {
       chaos_profile = *parsed;
     } else if (std::strcmp(arg, "--seeds") == 0 && i + 1 < argc) {
       batch = true;
-      seeds = std::strtoull(argv[++i], nullptr, 10);
+      if (!count_arg(arg, argv[++i], seeds)) return 2;
     } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::strtoull(argv[++i], nullptr, 10);
+      if (!count_arg(arg, argv[++i], jobs)) return 2;
     } else if (std::strcmp(arg, "--json-out") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else if (arg[0] == '-') {

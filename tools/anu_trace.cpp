@@ -7,12 +7,14 @@
 //
 // The text trace format is documented in src/workload/trace.h; traces made
 // here replay through `anu_sim` (trace_file key) or examples/trace_replay.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "common/parse_number.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "workload/trace.h"
@@ -28,15 +30,33 @@ int synthesize(int argc, char** argv) {
     return 2;
   }
   TraceSynthConfig config;
-  if (argc > 3) config.file_set_count = std::strtoul(argv[3], nullptr, 10);
-  if (argc > 4) config.request_count = std::strtoul(argv[4], nullptr, 10);
-  if (argc > 5) config.duration = std::strtod(argv[5], nullptr) * 60.0;
-  if (argc > 6) config.seed = std::strtoull(argv[6], nullptr, 10);
-  if (config.file_set_count == 0 || config.request_count == 0 ||
-      config.duration <= 0.0) {
-    std::fprintf(stderr, "invalid synthesize parameters\n");
+  // Each positional value must parse whole and in range; a bad one exits 2.
+  const auto take = [&](int i, const char* name, auto& target, auto lo,
+                        auto hi) {
+    if (argc <= i) return true;
+    const auto parsed = parse_number(argv[i], lo, hi);
+    if (!parsed) {
+      std::fprintf(stderr, "invalid synthesize parameters: bad %s '%s'\n",
+                   name, argv[i]);
+      return false;
+    }
+    target = *parsed;
+    return true;
+  };
+  constexpr auto kSizeMax = std::numeric_limits<std::size_t>::max();
+  // Minutes must be positive, and finite in seconds too.
+  double minutes = 0.0;
+  const double minutes_max = std::numeric_limits<double>::max() / 60.0;
+  if (!take(3, "file_sets", config.file_set_count, std::size_t{1},
+            std::size_t{std::numeric_limits<std::uint32_t>::max()}) ||
+      !take(4, "requests", config.request_count, std::size_t{1}, kSizeMax) ||
+      !take(5, "minutes", minutes, std::numeric_limits<double>::min(),
+            minutes_max) ||
+      !take(6, "seed", config.seed, std::uint64_t{0},
+            std::numeric_limits<std::uint64_t>::max())) {
     return 2;
   }
+  if (argc > 5) config.duration = minutes * 60.0;
   if (config.request_count < config.file_set_count) {
     std::fprintf(stderr,
                  "invalid synthesize parameters: %zu requests cannot cover "
@@ -129,8 +149,16 @@ int main(int argc, char** argv) {
     return info(argv[2]);
   }
   if (argc >= 3 && std::strcmp(argv[1], "head") == 0) {
-    const std::size_t count =
-        argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 10;
+    std::size_t count = 10;
+    if (argc > 3) {
+      const auto parsed = parse_number(
+          argv[3], std::size_t{0}, std::numeric_limits<std::size_t>::max());
+      if (!parsed) {
+        std::fprintf(stderr, "head: bad count '%s'\n", argv[3]);
+        return 2;
+      }
+      count = *parsed;
+    }
     return head(argv[2], count);
   }
   std::fprintf(stderr,
