@@ -3,6 +3,7 @@
 #include "balance/prescient.h"
 #include "balance/simple_random.h"
 #include "common/assert.h"
+#include "common/parse_number.h"
 
 namespace anu::driver {
 
@@ -47,24 +48,12 @@ std::string system_label(SystemKind kind) {
 }
 
 std::optional<SystemKind> parse_system_kind(std::string_view name) {
-  if (name == "anu") return SystemKind::kAnu;
-  if (name == "simple" || name == "simple-random" || name == "random") {
-    return SystemKind::kSimpleRandom;
-  }
-  if (name == "prescient" || name == "dyn-prescient") {
-    return SystemKind::kDynPrescient;
-  }
-  if (name == "vp" || name == "virtual-processor") {
-    return SystemKind::kVirtualProcessor;
-  }
-  if (name == "jsqd" || name == "jsq-d" || name == "jsq") {
-    return SystemKind::kJsqD;
-  }
-  if (name == "jiq") return SystemKind::kJoinIdleQueue;
-  if (name == "redundancy" || name == "redundancy-d" || name == "red") {
-    return SystemKind::kRedundancyD;
-  }
-  return std::nullopt;
+  if (name == "simple" || name == "random") return SystemKind::kSimpleRandom;
+  if (name == "prescient") return SystemKind::kDynPrescient;
+  if (name == "vp") return SystemKind::kVirtualProcessor;
+  if (name == "jsqd" || name == "jsq") return SystemKind::kJsqD;
+  if (name == "redundancy" || name == "red") return SystemKind::kRedundancyD;
+  return parse_name(name, SystemKind::kRedundancyD, system_label);
 }
 
 }  // namespace anu::driver

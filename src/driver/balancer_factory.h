@@ -51,9 +51,10 @@ struct SystemConfig {
 [[nodiscard]] std::string system_label(SystemKind kind);
 
 /// Parses a system name as accepted by config files (`system <name>`) and
-/// the anu_sim --strategy flag: the config short forms (simple, prescient,
-/// vp, anu, jsqd, jiq, redundancy) and the display labels
-/// (simple-random, dyn-prescient, virtual-processor, jsq-d, redundancy-d).
+/// the anu_sim --strategy flag: the labels system_label prints
+/// (simple-random, dyn-prescient, virtual-processor, anu, jsq-d, jiq,
+/// redundancy-d) and the short forms simple, random, prescient, vp, jsqd,
+/// jsq, redundancy and red.
 [[nodiscard]] std::optional<SystemKind> parse_system_kind(
     std::string_view name);
 

@@ -152,9 +152,7 @@ obs::Json batch_results_json(const BatchConfig& config,
   } else {
     cfg.set("system", system_label(config.spec.system.kind));
     cfg.set("servers", config.spec.experiment.cluster.server_speeds.size());
-    cfg.set("workload", config.spec.workload == SimSpec::WorkloadKind::kTrace
-                            ? "trace"
-                            : "synthetic");
+    cfg.set("workload", workload_kind_name(config.spec.workload));
     cfg.set("requests", config.spec.workload == SimSpec::WorkloadKind::kTrace
                             ? config.spec.trace.request_count
                             : config.spec.synthetic.request_count);

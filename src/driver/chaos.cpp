@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "common/parse_number.h"
 #include "common/rng.h"
 #include "workload/synthetic.h"
 
@@ -28,12 +29,7 @@ const char* chaos_profile_name(ChaosProfile profile) {
 }
 
 std::optional<ChaosProfile> parse_chaos_profile(std::string_view name) {
-  if (name == "light") return ChaosProfile::kLight;
-  if (name == "heavy") return ChaosProfile::kHeavy;
-  if (name == "partition") return ChaosProfile::kPartition;
-  if (name == "degrade") return ChaosProfile::kDegrade;
-  if (name == "mixed") return ChaosProfile::kMixed;
-  return std::nullopt;
+  return parse_name(name, ChaosProfile::kMixed, chaos_profile_name);
 }
 
 namespace {

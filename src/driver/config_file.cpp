@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "common/parse_number.h"
 
 namespace anu::driver {
 
@@ -16,7 +19,226 @@ std::optional<SimSpec> fail(ConfigError* error, std::size_t line,
   return std::nullopt;
 }
 
+constexpr double kMax = std::numeric_limits<double>::max();
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+constexpr double kBelowOne = 1 - std::numeric_limits<double>::epsilon() / 2;
+
+/// The file being parsed: the spec so far, where the keys checked after
+/// the last line were set, and the current line's words. A line's first
+/// problem sticks in `error`; every later read returns zero and no word.
+struct Reader {
+  SimSpec spec;
+  std::size_t lineno = 0;
+  std::size_t file_sets_line = 0;  // 0 = default
+  std::size_t requests_line = 0;
+  std::vector<std::size_t> membership_lines;
+  SimTime last_event = 0.0;
+  std::vector<std::string_view> words;  // words[0] is the key
+  std::size_t next = 1;
+  std::string error;
+
+  /// The next word, or "" with `<key>: expected <what>` recorded.
+  std::string_view word(const std::string& what) {
+    if (error.empty() && next == words.size()) {
+      error = std::string(words[0]) + ": expected " + what;
+    }
+    return error.empty() ? words[next++] : std::string_view();
+  }
+
+  /// The next word through `lookup` (word -> optional value); a word it
+  /// refuses is recorded as `<key>: expected <what>, got '<word>'`.
+  template <class Lookup>
+  auto read(const std::string& what, Lookup lookup) {
+    const std::string_view text = word(what);
+    auto value = lookup(text);
+    if (!value && error.empty()) {
+      error = std::string(words[0]) + ": expected " + what + ", got '" +
+              std::string(text) + "'";
+    }
+    return value.value_or(typename decltype(value)::value_type{});
+  }
+
+  template <class T>
+  T number(const char* what, T lo, T hi = std::numeric_limits<T>::max()) {
+    return read(what, [&](auto t) { return parse_number(t, lo, hi); });
+  }
+
+  /// One of E's names 0..last, spelled as `name_of` prints them.
+  template <class E, class NameOf>
+  E name(E last, NameOf name_of) {
+    std::string names = name_of(E{});
+    for (int i = 1; i <= static_cast<int>(last); ++i) {
+      names.append(" | ").append(name_of(static_cast<E>(i)));
+    }
+    return read(names, [&](auto t) { return parse_name(t, last, name_of); });
+  }
+
+  std::uint64_t seed() { return number<std::uint64_t>("a seed", 0); }
+  template <class T = std::size_t>
+  T count() { return number<T>("a count >= 1", 1); }
+  std::uint32_t one_to_eight() { return number("1..8", 1u, 8u); }
+  bool flag() { return number("0 or 1", 0u, 1u) == 1; }
+  double positive() { return number("a number > 0", kAboveZero, kMax); }
+  double non_negative() { return number("a number >= 0", 0.0, kMax); }
+  /// Minutes as seconds, at least `lo` minutes and finite in seconds.
+  SimTime minutes(const char* what, double lo) {
+    return number(what, lo, kMax / 60.0) * 60.0;
+  }
+};
+
+/// fail, recover, remove, degrade, restore and add, named as
+/// cluster::action_name prints them: the minute, then a server (add: the
+/// new server's speed), then degrade's speed factor.
+void membership(Reader& in) {
+  using cluster::MembershipAction;
+  const MembershipAction last = MembershipAction::kRestore;
+  const auto key = parse_name(in.words[0], last, cluster::action_name);
+  const MembershipAction action = key.value();  // the six rows' names
+  const SimTime when = in.minutes("a minute >= 0", 0.0);
+  cluster::MembershipEvent event{when, action, ServerId(), 0.0};
+  if (action == MembershipAction::kAdd) {
+    event.speed = in.positive();
+  } else {
+    event.server = ServerId(in.number<std::uint32_t>("a server id", 0));
+  }
+  if (action == MembershipAction::kDegrade) {
+    event.factor = in.number("a factor in (0, 1]", kAboveZero, 1.0);
+  }
+  if (in.error.empty() && when < in.last_event) {
+    in.error = "membership events out of time order";
+  }
+  if (!in.error.empty()) return;
+  in.last_event = when;
+  in.membership_lines.push_back(in.lineno);
+  in.spec.experiment.failures.add(event);
+}
+
+struct Key {
+  std::string_view name;
+  void (*apply)(Reader&);
+};
+
+constexpr Key kKeys[] = {
+    {"workload",
+     [](Reader& in) {
+       const auto last = SimSpec::WorkloadKind::kTrace;
+       in.spec.workload = in.name(last, workload_kind_name);
+     }},
+    {"seed",
+     [](Reader& in) {
+       in.spec.synthetic.seed = in.spec.trace.seed = in.seed();
+     }},
+    {"file_sets",
+     [](Reader& in) {
+       const std::size_t n = in.count();
+       in.spec.synthetic.file_set_count = in.spec.trace.file_set_count = n;
+       in.file_sets_line = in.lineno;
+     }},
+    {"requests",
+     [](Reader& in) {
+       const std::size_t n = in.count();
+       in.spec.synthetic.request_count = in.spec.trace.request_count = n;
+       in.requests_line = in.lineno;
+     }},
+    {"duration_min",
+     [](Reader& in) {
+       const SimTime duration = in.minutes("minutes > 0", kAboveZero);
+       in.spec.synthetic.duration = in.spec.trace.duration = duration;
+     }},
+    {"utilization",
+     [](Reader& in) {
+       const double u = in.number("a load in (0, 1)", kAboveZero, kBelowOne);
+       in.spec.synthetic.target_utilization = u;
+       in.spec.trace.target_utilization = u;
+     }},
+    {"speeds",
+     [](Reader& in) {
+       auto& speeds = in.spec.experiment.cluster.server_speeds;
+       speeds.clear();
+       do {
+         speeds.push_back(in.positive());
+       } while (in.error.empty() && in.next < in.words.size());
+     }},
+    {"system",
+     [](Reader& in) {
+       in.spec.system.kind = in.read("a system name", parse_system_kind);
+     }},
+    {"jsq_d", [](Reader& in) { in.spec.system.jsq.d = in.one_to_eight(); }},
+    {"jsq_speed_aware",
+     [](Reader& in) { in.spec.system.jsq.speed_aware = in.flag(); }},
+    {"jiq_policy",
+     [](Reader& in) {
+       const auto last = balance::JiqConfig::TokenPolicy::kFastest;
+       in.spec.system.jiq.policy = in.name(last, balance::jiq_policy_name);
+     }},
+    {"jiq_weighted_fallback",
+     [](Reader& in) { in.spec.system.jiq.weighted_fallback = in.flag(); }},
+    {"red_d", [](Reader& in) { in.spec.system.red.d = in.one_to_eight(); }},
+    {"red_cancel",
+     [](Reader& in) {
+       const auto last = balance::RedundancyDConfig::CancelMode::kOnComplete;
+       in.spec.system.red.cancel = in.name(last, balance::cancel_mode_name);
+     }},
+    {"red_speed_aware",
+     [](Reader& in) { in.spec.system.red.speed_aware = in.flag(); }},
+    {"strategy_seed",
+     [](Reader& in) {
+       SystemConfig& system = in.spec.system;
+       system.jsq.seed = system.jiq.seed = system.red.seed = in.seed();
+     }},
+    {"vp_per_server",
+     [](Reader& in) { in.spec.system.vp.vp_per_server = in.count(); }},
+    {"placement_choices",
+     [](Reader& in) {
+       in.spec.system.anu.placement_choices = in.one_to_eight();
+     }},
+    {"tuning_interval_s",
+     [](Reader& in) { in.spec.experiment.tuning_interval = in.positive(); }},
+    {"control_delay_s",
+     [](Reader& in) { in.spec.experiment.control_delay = in.non_negative(); }},
+    {"cache_penalty_x",
+     [](Reader& in) {
+       auto& cache = in.spec.experiment.cluster.cache;
+       cache.cold_penalty_factor = in.number("a factor >= 1", 1.0, kMax);
+       cache.enabled = cache.cold_penalty_factor > 1.0;
+     }},
+    {"cache_warmup_requests",
+     [](Reader& in) {
+       auto& cache = in.spec.experiment.cluster.cache;
+       cache.warmup_requests = in.count<std::uint32_t>();
+     }},
+    {"move_penalty_s",
+     [](Reader& in) {
+       in.spec.experiment.move_warmup_penalty = in.non_negative();
+     }},
+    {"fail", membership},
+    {"recover", membership},
+    {"remove", membership},
+    {"degrade", membership},
+    {"restore", membership},
+    {"add", membership},
+    {"trace_file",
+     [](Reader& in) {
+       in.spec.trace_file = in.word("a path");
+       in.spec.workload = SimSpec::WorkloadKind::kTrace;
+     }},
+    {"csv_out", [](Reader& in) { in.spec.csv_out = in.word("a path"); }},
+    {"trace_out", [](Reader& in) { in.spec.trace_out = in.word("a path"); }},
+    {"manifest_out",
+     [](Reader& in) { in.spec.manifest_out = in.word("a path"); }},
+};
+
 }  // namespace
+
+const char* workload_kind_name(SimSpec::WorkloadKind kind) {
+  return kind == SimSpec::WorkloadKind::kTrace ? "trace" : "synthetic";
+}
+
+std::vector<std::string_view> sim_config_keys() {
+  std::vector<std::string_view> keys;
+  for (const Key& key : kKeys) keys.push_back(key.name);
+  return keys;
+}
 
 std::optional<std::size_t> invalid_membership_event(
     const cluster::FailureSchedule& script, std::size_t initial_servers,
@@ -67,255 +289,25 @@ std::optional<std::size_t> invalid_membership_event(
 }
 
 std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
-  SimSpec spec;
+  Reader in;
   std::string line;
-  std::size_t lineno = 0;
-  SimTime last_event = 0.0;
-  // Where the keys checked after the last line were set (0 = default).
-  std::size_t file_sets_line = 0;
-  std::size_t requests_line = 0;
-  std::vector<std::size_t> membership_lines;
   while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-
-    auto want = [&](auto& value, const char* what) {
-      if (!(ls >> value)) {
-        fail(error, lineno, std::string("expected ") + what + " after " + key);
-        return false;
-      }
-      return true;
-    };
-
-    if (key == "workload") {
-      std::string kind;
-      if (!want(kind, "workload kind")) return std::nullopt;
-      if (kind == "synthetic") {
-        spec.workload = SimSpec::WorkloadKind::kSynthetic;
-      } else if (kind == "trace") {
-        spec.workload = SimSpec::WorkloadKind::kTrace;
-      } else {
-        return fail(error, lineno, "unknown workload kind: " + kind);
-      }
-    } else if (key == "seed") {
-      std::uint64_t seed;
-      if (!want(seed, "integer seed")) return std::nullopt;
-      spec.synthetic.seed = seed;
-      spec.trace.seed = seed;
-    } else if (key == "file_sets") {
-      std::size_t n;
-      if (!want(n, "count")) return std::nullopt;
-      if (n == 0) return fail(error, lineno, "file_sets must be positive");
-      spec.synthetic.file_set_count = n;
-      spec.trace.file_set_count = n;
-      file_sets_line = lineno;
-    } else if (key == "requests") {
-      std::size_t n;
-      if (!want(n, "count")) return std::nullopt;
-      if (n == 0) return fail(error, lineno, "requests must be positive");
-      spec.synthetic.request_count = n;
-      spec.trace.request_count = n;
-      requests_line = lineno;
-    } else if (key == "duration_min") {
-      double minutes;
-      if (!want(minutes, "minutes")) return std::nullopt;
-      if (minutes <= 0.0) return fail(error, lineno, "duration must be > 0");
-      spec.synthetic.duration = minutes * 60.0;
-      spec.trace.duration = minutes * 60.0;
-    } else if (key == "utilization") {
-      double u;
-      if (!want(u, "fraction")) return std::nullopt;
-      if (u <= 0.0 || u >= 1.0) {
-        return fail(error, lineno, "utilization must be in (0, 1)");
-      }
-      spec.synthetic.target_utilization = u;
-      spec.trace.target_utilization = u;
-    } else if (key == "speeds") {
-      std::vector<double> speeds;
-      double s;
-      while (ls >> s) {
-        if (s <= 0.0) return fail(error, lineno, "speeds must be positive");
-        speeds.push_back(s);
-      }
-      if (speeds.empty()) return fail(error, lineno, "speeds needs values");
-      spec.experiment.cluster.server_speeds = std::move(speeds);
-    } else if (key == "system") {
-      std::string name;
-      if (!want(name, "system name")) return std::nullopt;
-      const auto kind = parse_system_kind(name);
-      if (!kind) return fail(error, lineno, "unknown system: " + name);
-      spec.system.kind = *kind;
-    } else if (key == "jsq_d") {
-      std::uint32_t d;
-      if (!want(d, "1..8")) return std::nullopt;
-      if (d < 1 || d > balance::DispatchDecision::kMaxTargets) {
-        return fail(error, lineno, "jsq_d must be 1..8");
-      }
-      spec.system.jsq.d = d;
-    } else if (key == "jsq_speed_aware") {
-      std::uint32_t v;
-      if (!want(v, "0|1")) return std::nullopt;
-      spec.system.jsq.speed_aware = v != 0;
-    } else if (key == "jiq_policy") {
-      std::string policy;
-      if (!want(policy, "fifo|lifo|fastest")) return std::nullopt;
-      if (policy == "fifo") {
-        spec.system.jiq.policy = balance::JiqConfig::TokenPolicy::kFifo;
-      } else if (policy == "lifo") {
-        spec.system.jiq.policy = balance::JiqConfig::TokenPolicy::kLifo;
-      } else if (policy == "fastest") {
-        spec.system.jiq.policy = balance::JiqConfig::TokenPolicy::kFastest;
-      } else {
-        return fail(error, lineno, "unknown jiq_policy: " + policy);
-      }
-    } else if (key == "jiq_weighted_fallback") {
-      std::uint32_t v;
-      if (!want(v, "0|1")) return std::nullopt;
-      spec.system.jiq.weighted_fallback = v != 0;
-    } else if (key == "red_d") {
-      std::uint32_t d;
-      if (!want(d, "1..8")) return std::nullopt;
-      if (d < 1 || d > balance::DispatchDecision::kMaxTargets) {
-        return fail(error, lineno, "red_d must be 1..8");
-      }
-      spec.system.red.d = d;
-    } else if (key == "red_cancel") {
-      std::string mode;
-      if (!want(mode, "start|complete")) return std::nullopt;
-      if (mode == "start") {
-        spec.system.red.cancel = balance::RedundancyDConfig::CancelMode::kOnStart;
-      } else if (mode == "complete") {
-        spec.system.red.cancel =
-            balance::RedundancyDConfig::CancelMode::kOnComplete;
-      } else {
-        return fail(error, lineno, "unknown red_cancel: " + mode);
-      }
-    } else if (key == "red_speed_aware") {
-      std::uint32_t v;
-      if (!want(v, "0|1")) return std::nullopt;
-      spec.system.red.speed_aware = v != 0;
-    } else if (key == "strategy_seed") {
-      std::uint64_t seed;
-      if (!want(seed, "integer seed")) return std::nullopt;
-      spec.system.jsq.seed = seed;
-      spec.system.jiq.seed = seed;
-      spec.system.red.seed = seed;
-    } else if (key == "vp_per_server") {
-      std::size_t v;
-      if (!want(v, "count")) return std::nullopt;
-      if (v == 0) return fail(error, lineno, "vp_per_server must be positive");
-      spec.system.vp.vp_per_server = v;
-    } else if (key == "placement_choices") {
-      std::uint32_t c;
-      if (!want(c, "1..8")) return std::nullopt;
-      if (c < 1 || c > 8) {
-        return fail(error, lineno, "placement_choices must be 1..8");
-      }
-      spec.system.anu.placement_choices = c;
-    } else if (key == "tuning_interval_s") {
-      double seconds;
-      if (!want(seconds, "seconds")) return std::nullopt;
-      if (seconds <= 0.0) return fail(error, lineno, "interval must be > 0");
-      spec.experiment.tuning_interval = seconds;
-    } else if (key == "control_delay_s") {
-      double seconds;
-      if (!want(seconds, "seconds")) return std::nullopt;
-      if (seconds < 0.0) return fail(error, lineno, "delay must be >= 0");
-      spec.experiment.control_delay = seconds;
-    } else if (key == "cache_penalty_x") {
-      double factor;
-      if (!want(factor, "factor >= 1")) return std::nullopt;
-      if (factor < 1.0) return fail(error, lineno, "factor must be >= 1");
-      spec.experiment.cluster.cache.enabled = factor > 1.0;
-      spec.experiment.cluster.cache.cold_penalty_factor = factor;
-    } else if (key == "cache_warmup_requests") {
-      std::uint32_t n;
-      if (!want(n, "count")) return std::nullopt;
-      if (n == 0) return fail(error, lineno, "warmup must be positive");
-      spec.experiment.cluster.cache.warmup_requests = n;
-    } else if (key == "move_penalty_s") {
-      double seconds;
-      if (!want(seconds, "seconds")) return std::nullopt;
-      if (seconds < 0.0) return fail(error, lineno, "penalty must be >= 0");
-      spec.experiment.move_warmup_penalty = seconds;
-    } else if (key == "fail" || key == "recover" || key == "remove") {
-      double minute;
-      std::uint32_t server;
-      if (!want(minute, "minute")) return std::nullopt;
-      if (!want(server, "server id")) return std::nullopt;
-      const SimTime when = minute * 60.0;
-      if (when < last_event) {
-        return fail(error, lineno, "membership events out of time order");
-      }
-      last_event = when;
-      const auto action = key == "recover"
-                              ? cluster::MembershipAction::kRecover
-                              : key == "remove"
-                                    ? cluster::MembershipAction::kRemove
-                                    : cluster::MembershipAction::kFail;
-      membership_lines.push_back(lineno);
-      spec.experiment.failures.add({when, action, ServerId(server), 0.0});
-    } else if (key == "degrade") {
-      double minute, factor;
-      std::uint32_t server;
-      if (!want(minute, "minute")) return std::nullopt;
-      if (!want(server, "server id")) return std::nullopt;
-      if (!want(factor, "factor")) return std::nullopt;
-      if (factor <= 0.0 || factor > 1.0) {
-        return fail(error, lineno, "degrade factor must be in (0, 1]");
-      }
-      const SimTime when = minute * 60.0;
-      if (when < last_event) {
-        return fail(error, lineno, "membership events out of time order");
-      }
-      last_event = when;
-      cluster::MembershipEvent event{
-          when, cluster::MembershipAction::kDegrade, ServerId(server), 0.0};
-      event.factor = factor;
-      membership_lines.push_back(lineno);
-      spec.experiment.failures.add(event);
-    } else if (key == "restore") {
-      double minute;
-      std::uint32_t server;
-      if (!want(minute, "minute")) return std::nullopt;
-      if (!want(server, "server id")) return std::nullopt;
-      const SimTime when = minute * 60.0;
-      if (when < last_event) {
-        return fail(error, lineno, "membership events out of time order");
-      }
-      last_event = when;
-      membership_lines.push_back(lineno);
-      spec.experiment.failures.add(
-          {when, cluster::MembershipAction::kRestore, ServerId(server), 0.0});
-    } else if (key == "add") {
-      double minute, speed;
-      if (!want(minute, "minute")) return std::nullopt;
-      if (!want(speed, "speed")) return std::nullopt;
-      if (speed <= 0.0) return fail(error, lineno, "speed must be positive");
-      const SimTime when = minute * 60.0;
-      if (when < last_event) {
-        return fail(error, lineno, "membership events out of time order");
-      }
-      last_event = when;
-      membership_lines.push_back(lineno);
-      spec.experiment.failures.add(
-          {when, cluster::MembershipAction::kAdd, ServerId(), speed});
-    } else if (key == "trace_file") {
-      if (!want(spec.trace_file, "path")) return std::nullopt;
-      spec.workload = SimSpec::WorkloadKind::kTrace;
-    } else if (key == "csv_out") {
-      if (!want(spec.csv_out, "path")) return std::nullopt;
-    } else if (key == "trace_out") {
-      if (!want(spec.trace_out, "path")) return std::nullopt;
-    } else if (key == "manifest_out") {
-      if (!want(spec.manifest_out, "path")) return std::nullopt;
-    } else {
-      return fail(error, lineno, "unknown key: " + key);
+    ++in.lineno;
+    in.words = split_words(line);
+    if (in.words.empty()) continue;
+    const Key* key = std::ranges::find(kKeys, in.words[0], &Key::name);
+    if (key == std::end(kKeys)) {
+      return fail(error, in.lineno, "unknown key: " + std::string(in.words[0]));
     }
+    in.next = 1;
+    key->apply(in);
+    if (in.error.empty() && in.next < in.words.size()) {
+      in.error = std::string(in.words[0]) + ": unexpected word '" +
+                 std::string(in.words[in.next]) + "'";
+    }
+    if (!in.error.empty()) return fail(error, in.lineno, in.error);
   }
+  SimSpec& spec = in.spec;
   // Checks that need the whole file: `speeds` may follow the script, and
   // either count may be set after the other.
   const std::size_t file_sets = spec.workload == SimSpec::WorkloadKind::kTrace
@@ -325,7 +317,7 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
                                    ? spec.trace.request_count
                                    : spec.synthetic.request_count;
   if (spec.trace_file.empty() && requests < file_sets) {
-    return fail(error, std::max(file_sets_line, requests_line),
+    return fail(error, std::max(in.file_sets_line, in.requests_line),
                 "requests (" + std::to_string(requests) +
                     ") must be at least file_sets (" +
                     std::to_string(file_sets) + ")");
@@ -334,7 +326,7 @@ std::optional<SimSpec> parse_sim_config(std::istream& is, ConfigError* error) {
   if (const auto bad = invalid_membership_event(
           spec.experiment.failures,
           spec.experiment.cluster.server_speeds.size(), &message)) {
-    return fail(error, membership_lines[*bad], message);
+    return fail(error, in.membership_lines[*bad], message);
   }
 
   // Keep workload capacity assumptions in sync with the cluster.

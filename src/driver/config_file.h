@@ -1,17 +1,30 @@
 // Text experiment configuration for the anu_sim command-line tool.
 //
-// Line-oriented `key value...` format ('#' comments, blank lines ignored):
+// Line-oriented `key value...` format. Words are separated by spaces or
+// tabs; a word that starts with '#' makes the rest of its line a comment,
+// and blank lines are ignored. Every value is read whole: `2000x`, a
+// missing value or a word left over is an error naming its line. Every
+// key, with its default or an example value:
 //
 //   workload synthetic            # or: trace
 //   seed 42
 //   file_sets 50
 //   requests 66401
 //   duration_min 200
-//   utilization 0.55
+//   utilization 0.55              # offered load, in (0, 1)
 //   speeds 1 3 5 7 9              # one per server
-//   system anu                    # anu | simple | prescient | vp
+//   system anu                    # anu | simple | prescient | vp | jsqd
+//                                 # | jiq | redundancy
 //   vp_per_server 5               # vp system only
-//   placement_choices 1           # anu: 1 or 2 (SIEVE multiple choice)
+//   placement_choices 1           # anu: 1..8 (SIEVE multiple choice)
+//   jsq_d 2                       # jsqd: servers sampled, 1..8
+//   jsq_speed_aware 0             # jsqd: 1 = speed-weighted sampling
+//   jiq_policy fifo               # jiq: fifo | lifo | fastest
+//   jiq_weighted_fallback 1       # jiq: 1 = speed-weighted busy fallback
+//   red_d 2                       # redundancy: replicas, 1..8
+//   red_cancel complete           # redundancy: start | complete
+//   red_speed_aware 0             # redundancy: 1 = speed-weighted replicas
+//   strategy_seed 7               # seed of jsqd, jiq and redundancy
 //   tuning_interval_s 120
 //   move_penalty_s 0
 //   cache_penalty_x 1             # cold-cache model: demand multiplier
@@ -34,6 +47,8 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "driver/balancer_factory.h"
 #include "driver/experiment.h"
@@ -60,6 +75,9 @@ struct SimSpec {
   std::string manifest_out;
 };
 
+/// "synthetic" or "trace": the `workload` key's values.
+[[nodiscard]] const char* workload_kind_name(SimSpec::WorkloadKind kind);
+
 struct ConfigError {
   std::size_t line = 0;
   std::string message;
@@ -70,6 +88,9 @@ std::optional<SimSpec> parse_sim_config(std::istream& is,
                                         ConfigError* error = nullptr);
 std::optional<SimSpec> parse_sim_config_file(const std::string& path,
                                              ConfigError* error = nullptr);
+
+/// Every key the format accepts, in the parser's table order.
+[[nodiscard]] std::vector<std::string_view> sim_config_keys();
 
 /// Replays a membership script against the up/down state of a cluster that
 /// starts with `initial_servers` servers, so a script the run cannot apply

@@ -38,7 +38,7 @@ Json workload_json(const SimSpec& spec) {
   Json o = Json::object();
   if (spec.workload == SimSpec::WorkloadKind::kSynthetic) {
     const workload::SyntheticConfig& c = spec.synthetic;
-    o.set("kind", "synthetic")
+    o.set("kind", workload_kind_name(spec.workload))
         .set("seed", c.seed)
         .set("file_sets", c.file_set_count)
         .set("requests", c.request_count)
@@ -52,7 +52,7 @@ Json workload_json(const SimSpec& spec) {
     o.set("kind", "trace_file").set("path", spec.trace_file);
   } else {
     const workload::TraceSynthConfig& c = spec.trace;
-    o.set("kind", "trace")
+    o.set("kind", workload_kind_name(spec.workload))
         .set("seed", c.seed)
         .set("file_sets", c.file_set_count)
         .set("requests", c.request_count)

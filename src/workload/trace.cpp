@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <numbers>
-#include <sstream>
+#include <string_view>
 
 #include "common/assert.h"
 #include "common/distributions.h"
+#include "common/parse_number.h"
 #include "common/rng.h"
 #include "workload/streams.h"
 
@@ -46,6 +48,8 @@ std::optional<Workload> fail(TraceParseError* error, std::size_t line,
 }  // namespace
 
 std::optional<Workload> read_trace(std::istream& is, TraceParseError* error) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr auto kMaxId = std::numeric_limits<std::uint32_t>::max();
   std::vector<FileSet> file_sets;
   std::vector<Request> requests;
   std::string line;
@@ -53,42 +57,43 @@ std::optional<Workload> read_trace(std::istream& is, TraceParseError* error) {
   SimTime last_arrival = 0.0;
   while (std::getline(is, line)) {
     ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "fileset") {
-      std::uint32_t id;
-      std::string name;
-      double weight;
-      if (!(ls >> id >> name >> weight)) {
-        return fail(error, lineno, "malformed fileset line");
-      }
-      if (id != file_sets.size()) {
+    const std::vector<std::string_view> words = split_words(line);
+    if (words.empty()) continue;
+    // Word i as a number in [lo, hi]; every record is exactly four words.
+    const auto number = [&](std::size_t i, auto lo, auto hi) {
+      return words.size() == 4 ? parse_number(words[i], lo, hi) : std::nullopt;
+    };
+    if (words[0] == "fileset") {
+      const auto id = number(1, 0u, kMaxId);
+      const auto weight = number(3, -kMax, kMax);
+      if (!id || !weight) return fail(error, lineno, "malformed fileset line");
+      if (*id != file_sets.size()) {
         return fail(error, lineno, "fileset ids must be dense and in order");
       }
-      if (weight < 0.0) {
+      if (*weight < 0.0) {
         return fail(error, lineno, "negative fileset weight");
       }
-      file_sets.push_back(FileSet{FileSetId(id), std::move(name), weight});
-    } else if (kind == "req") {
-      double arrival, demand;
-      std::uint32_t fs;
-      if (!(ls >> arrival >> fs >> demand)) {
+      file_sets.push_back({FileSetId(*id), std::string(words[2]), *weight});
+    } else if (words[0] == "req") {
+      const auto arrival = number(1, -kMax, kMax);
+      const auto fs = number(2, 0u, kMaxId);
+      const auto demand = number(3, -kMax, kMax);
+      if (!arrival || !fs || !demand) {
         return fail(error, lineno, "malformed req line");
       }
-      if (fs >= file_sets.size()) {
+      if (*fs >= file_sets.size()) {
         return fail(error, lineno, "req references undeclared fileset");
       }
-      if (arrival < last_arrival) {
+      if (*arrival < last_arrival) {
         return fail(error, lineno, "requests out of time order");
       }
-      if (demand < 0.0) {
+      if (*demand < 0.0) {
         return fail(error, lineno, "negative demand");
       }
-      last_arrival = arrival;
-      requests.push_back(Request{arrival, FileSetId(fs), demand});
+      last_arrival = *arrival;
+      requests.push_back(Request{*arrival, FileSetId(*fs), *demand});
     } else {
+      const std::string kind(words[0]);
       return fail(error, lineno, "unknown record kind: " + kind);
     }
   }

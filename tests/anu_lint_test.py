@@ -23,6 +23,7 @@ EXPECTED_RULES = [
     "[unordered-iter]",
     "[ptr-key-container]",
     "[pool-order]",
+    "[stream-parse]",
     "[layering]",
     "[bare-allow]",
     "[test-registration]",
@@ -74,6 +75,13 @@ def main() -> int:
         failures.append(
             "bad_tree: expected two [layering] findings, at uses_sim.cpp:6 "
             f"and uses_cluster.cpp:7\n{out}")
+    # Input is read whole: an input string stream is flagged, an output
+    # one is not.
+    stream = [line for line in out.splitlines() if "[stream-parse]" in line]
+    if len(stream) != 1 or "src/workload/stream_parse.cpp:9:" not in stream[0]:
+        failures.append(
+            "bad_tree: expected one [stream-parse] finding, at "
+            f"stream_parse.cpp:9\n{out}")
     # Every directory whose code affects results is linted, the workload
     # generator included.
     if "src/workload/uses_rand.cpp:7: [raw-rng]" not in out:

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/parse_number.h"
 
 namespace anu::driver {
 namespace {
@@ -180,6 +186,57 @@ TEST(ConfigFile, RejectsBadValues) {
   EXPECT_FALSE(parse("file_sets 0\n").has_value());
   EXPECT_FALSE(parse("placement_choices 9\n").has_value());
   EXPECT_FALSE(parse("seed\n").has_value());
+}
+
+// `line`, after a valid first line, fails on line 2 naming `word`.
+void expect_rejected(const std::string& line, const std::string& word) {
+  ConfigError error;
+  EXPECT_FALSE(parse("system anu\n" + line + "\n", &error)) << line;
+  EXPECT_EQ(error.line, 2u) << line;
+  EXPECT_NE(error.message.find("'" + word + "'"), std::string::npos)
+      << line << ": " << error.message;
+}
+
+// Every value is read whole: a malformed, out-of-range or leftover word
+// fails its line, and the message names that word.
+TEST(ConfigFile, RejectsMalformedWords) {
+  expect_rejected("requests 2000x", "2000x");
+  expect_rejected("duration_min 5abc", "5abc");
+  expect_rejected("file_sets -5", "-5");
+  expect_rejected("seed -1", "-1");
+  expect_rejected("speeds 1 3 x 9", "x");
+  expect_rejected("utilization 0.5 0.9", "0.9");
+  expect_rejected("jsq_speed_aware 7", "7");
+  expect_rejected("fail 1 4 junk", "junk");
+}
+
+// The example in config_file.h's comment is a config that parses and sets
+// every key of the parser's table, so an undocumented key fails here.
+TEST(ConfigFile, DocumentedExampleCoversEveryKey) {
+  const std::string path =
+      std::string(ANU_SOURCE_DIR) + "/src/driver/config_file.h";
+  std::ifstream f(path);
+  ASSERT_TRUE(f.is_open()) << "missing " << path;
+  // The example is the header comment's indented lines: "//" and then at
+  // least three spaces.
+  std::string example;
+  for (std::string line; std::getline(f, line) && line.starts_with("//");) {
+    if (line.starts_with("//   ")) example += line.substr(2) + "\n";
+  }
+  ConfigError error;
+  const auto spec = parse(example, &error);
+  ASSERT_TRUE(spec.has_value())
+      << "example line " << error.line << ": " << error.message;
+  std::vector<std::string> keys;
+  std::istringstream lines(example);
+  for (std::string line; std::getline(lines, line);) {
+    const auto words = split_words(line);
+    if (!words.empty()) keys.emplace_back(words[0]);
+  }
+  for (const std::string_view key : sim_config_keys()) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+        << "config_file.h's example does not set `" << key << "`";
+  }
 }
 
 TEST(ConfigFile, CacheModelKeys) {

@@ -217,6 +217,21 @@ TEST(TraceFormat, RejectsNonDenseFileSetIds) {
   EXPECT_FALSE(read_trace(is).has_value());
 }
 
+// Two file sets and then `line`, which must fail on line 3.
+void expect_trace_rejects(const std::string& line) {
+  std::istringstream is("fileset 0 a 1.0\nfileset 1 b 1.0\n" + line + "\n");
+  TraceParseError error;
+  EXPECT_FALSE(read_trace(is, &error).has_value()) << line;
+  EXPECT_EQ(error.line, 3u) << line;
+}
+
+// Records are exactly four words and every number is read whole.
+TEST(TraceFormat, RejectsMalformedWords) {
+  expect_trace_rejects("req 1.0 0 123.7x extra");
+  expect_trace_rejects("req 1 1 0x10");
+  expect_trace_rejects("fileset 2 trace/fs2 165 junk");
+}
+
 TEST(TraceFormat, SkipsCommentsAndBlankLines) {
   std::istringstream is(
       "# header\n"

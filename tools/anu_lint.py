@@ -24,6 +24,10 @@ src/metrics, src/faults, src/hash):
                    must go through driver::run_indexed/parallel_map, whose
                    pre-sized-slot contract makes results independent of
                    completion order.
+  stream-parse     std::istringstream / std::stringstream — `>>` stops at
+                   the first character it cannot use and ignores what is
+                   left, so `2000x` reads as 2000; input is read with
+                   split_words and parse_number (common/parse_number.h).
   layering         src/core or src/proto including from sim/, cluster/,
                    driver/ or runtime/ — the decision core and the protocol
                    see only anu::Clock and proto::Transport, so they run
@@ -111,6 +115,12 @@ SOURCE_RULES: list[tuple[str, re.Pattern[str], str]] = [
         "ptr-key-container",
         re.compile(r"std::(?:map|set)\s*<\s*(?:const\s+)?[\w:]+\s*\*"),
         "pointer-keyed ordered container (iteration order = ASLR)",
+    ),
+    (
+        "stream-parse",
+        re.compile(r"std::i?stringstream\b"),
+        "stream parsing in result-affecting code (read whole words with "
+        "split_words and parse_number)",
     ),
 ]
 

@@ -49,6 +49,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/parse_number.h"
 #include "common/table.h"
@@ -102,18 +103,26 @@ bool apply_strategy(const std::string& strategy, SystemConfig* system) {
   return true;
 }
 
-int run(const char* path, const OutputOptions& options,
-        const std::string& strategy) {
+/// Parses the config file at `path`, or prints `path:line: message` and
+/// returns nullopt.
+std::optional<SimSpec> load_config(const char* path) {
   ConfigError error;
   auto spec = parse_sim_config_file(path, &error);
   if (!spec) {
     std::fprintf(stderr, "%s:%zu: %s\n", path, error.line,
                  error.message.c_str());
-    return 1;
   }
+  return spec;
+}
+
+int run(const char* path, const OutputOptions& options,
+        const std::string& strategy) {
+  auto spec = load_config(path);
+  if (!spec) return 1;
   if (!apply_strategy(strategy, &spec->system)) return 1;
   if (!options.trace_out.empty()) spec->trace_out = options.trace_out;
   if (!options.manifest_out.empty()) spec->manifest_out = options.manifest_out;
+  ConfigError error;
   const auto workload = build_workload(*spec, &error);
   if (!workload) {
     std::fprintf(stderr, "%s: %s\n", path, error.message.c_str());
@@ -347,13 +356,8 @@ int run_batch_cli(std::size_t seeds, std::size_t jobs,
                 static_cast<unsigned long long>(chaos_seed), jobs);
   } else {
     if (config_path) {
-      ConfigError error;
-      const auto spec = parse_sim_config_file(config_path, &error);
-      if (!spec) {
-        std::fprintf(stderr, "%s:%zu: %s\n", config_path, error.line,
-                     error.message.c_str());
-        return 1;
-      }
+      const auto spec = load_config(config_path);
+      if (!spec) return 1;
       batch.spec = *spec;
     } else {
       batch.spec = default_batch_spec();
@@ -432,13 +436,8 @@ int run_matrix_cli(std::size_t seeds, std::size_t jobs,
                    const char* config_path, const MatrixOptions& options) {
   MatrixConfig config;
   if (config_path) {
-    ConfigError error;
-    const auto spec = parse_sim_config_file(config_path, &error);
-    if (!spec) {
-      std::fprintf(stderr, "%s:%zu: %s\n", config_path, error.line,
-                   error.message.c_str());
-      return 1;
-    }
+    const auto spec = load_config(config_path);
+    if (!spec) return 1;
     config.base = *spec;
     config.base_seed = spec->synthetic.seed;
   }
@@ -505,13 +504,9 @@ int run_matrix_cli(std::size_t seeds, std::size_t jobs,
 }
 
 int compare(const char* path) {
+  const auto spec = load_config(path);
+  if (!spec) return 1;
   ConfigError error;
-  const auto spec = parse_sim_config_file(path, &error);
-  if (!spec) {
-    std::fprintf(stderr, "%s:%zu: %s\n", path, error.line,
-                 error.message.c_str());
-    return 1;
-  }
   const auto workload = build_workload(*spec, &error);
   if (!workload) {
     std::fprintf(stderr, "%s: %s\n", path, error.message.c_str());

@@ -12,8 +12,9 @@
 // missing and fails, so benchmarks cannot silently vanish from the run.
 //
 // Options:
-//   --threshold <metric>=<pct>  allowed regression for one metric, percent;
-//                               repeatable. Defaults: wall_time_s=10,
+//   --threshold <metric>=<pct>  allowed regression for one metric, percent
+//                               (finite, >= 0, read whole); repeatable.
+//                               Defaults: wall_time_s=10,
 //                               events_per_sec=10, peak_rss_bytes=20.
 //   --quiet                     only print regressions
 //
@@ -24,16 +25,17 @@
 // usage or I/O error. Baseline-refresh procedure: docs/ci.md.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.h"
 #include "common/table.h"
 #include "obs/json.h"
 
@@ -171,6 +173,7 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr double kMaxPercent = std::numeric_limits<double>::max();
   Options options;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
@@ -179,10 +182,13 @@ int main(int argc, char** argv) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos) return usage();
-      char* end = nullptr;
-      const double pct = std::strtod(spec.c_str() + eq + 1, &end);
-      if (end == spec.c_str() + eq + 1) return usage();
-      options.thresholds.emplace_back(spec.substr(0, eq), pct);
+      const std::string value = spec.substr(eq + 1);
+      const auto pct = anu::parse_number(value, 0.0, kMaxPercent);
+      if (!pct) {
+        std::fprintf(stderr, "bad --threshold value: %s\n", value.c_str());
+        return 2;
+      }
+      options.thresholds.emplace_back(spec.substr(0, eq), *pct);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       options.quiet = true;
     } else if (arg[0] == '-') {
